@@ -7,7 +7,7 @@
 //! Every workload walks every layer, so each per-layer metric exists on
 //! each workload: the layer a workload stresses does heavy work there,
 //! the others do a little (AutoPart is capped at a few rounds outside
-//! `dba-session`; the WAL replays whatever the session would journal).
+//! `dba-autopart`; the WAL replays whatever the session would journal).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -30,7 +30,7 @@ use crate::library::{self, fresh_session};
 use crate::stats::{ms, us, Rng, Samples};
 use crate::{Args, Report, Workload as Which, ADVISOR_THREADS};
 
-/// AutoPart rounds outside `dba-session`, where the layer is light.
+/// AutoPart rounds outside `dba-autopart`, where the layer is light.
 const LIGHT_AUTOPART_ROUNDS: usize = 2;
 /// Snapshot cadence of the WAL replay: the daemon's shipped policy.
 const SNAPSHOT_EVERY: u64 = 256;
@@ -116,7 +116,7 @@ fn whatif_lines(designs: &[Design]) -> Vec<String> {
 
 fn inputs(args: &Args, dir: &Path) -> Inputs {
     match args.workload {
-        Which::TextIngest | Which::DbaSession => {
+        Which::TextIngest | Which::DbaSession | Which::DbaAutopart => {
             let cat = library::paper_catalog();
             let (statements, autopart_rounds, budget_pct) = if args.workload == Which::TextIngest {
                 let seed = library::stream_seed(args.seed, 0);
@@ -129,7 +129,8 @@ fn inputs(args: &Args, dir: &Path) -> Inputs {
                     .iter()
                     .map(|s| s.to_string())
                     .collect();
-                (st, None, 20)
+                let rounds = (args.workload == Which::DbaSession).then_some(LIGHT_AUTOPART_ROUNDS);
+                (st, rounds, 20)
             };
             let parsed: Vec<Select> = statements
                 .iter()
@@ -302,10 +303,10 @@ fn walk(args: &Args, inp: &Inputs, dir: &Path, report: &mut Report) -> Walk {
     );
     session.set_trace(Trace::disabled());
 
-    // whatif, directly and through the session (core overhead)
+    // whatif, directly and through the session (core overhead: the
+    // median over designs of each design's session-minus-direct time)
     let mut direct = Samples::new();
-    let mut layer = Samples::new();
-    let mut via_session = Samples::new();
+    let mut core_overhead = Samples::new();
     for (i, d) in inp.designs.iter().take(16).enumerate() {
         let t0 = Instant::now();
         let planned = d.apply(&cat).map(|overlay| {
@@ -323,6 +324,7 @@ fn walk(args: &Args, inp: &Inputs, dir: &Path, report: &mut Report) -> Walk {
         });
         // alternate which call runs first, so warm-up favours neither
         let mut calls = [None, None];
+        let mut took = [0.0; 2];
         for k in [i % 2, 1 - i % 2] {
             let t0 = Instant::now();
             calls[k] = Some(if k == 0 {
@@ -330,12 +332,9 @@ fn walk(args: &Args, inp: &Inputs, dir: &Path, report: &mut Report) -> Walk {
             } else {
                 session.evaluate_design(&templates, d)
             });
-            if k == 0 {
-                layer.push(us(t0))
-            } else {
-                via_session.push(us(t0))
-            }
+            took[k] = us(t0);
         }
+        core_overhead.push(took[1] - took[0]);
         let same = match calls {
             [Some(Ok((a, _))), Some(Ok((b, _)))] => {
                 a.total_after().to_bits() == b.total_after().to_bits()
@@ -347,7 +346,7 @@ fn walk(args: &Args, inp: &Inputs, dir: &Path, report: &mut Report) -> Walk {
         });
     }
     m.insert("whatif.evaluate_ms", direct.median());
-    m.insert("core.overhead_us", via_session.median() - layer.median());
+    m.insert("core.overhead_us", core_overhead.median());
 
     // inum
     let trace = Trace::recording();
@@ -510,17 +509,12 @@ fn walk(args: &Args, inp: &Inputs, dir: &Path, report: &mut Report) -> Walk {
 }
 
 /// Wire latency of the workload's read lines against the same lines run
-/// on an in-process console; counts from `server stats`.
+/// on an in-process console: each line runs once on each side, in
+/// alternating order, and `server.overhead_us` is the median of the
+/// per-line differences. Counts come from `server stats`.
 fn server_layer(inp: &Inputs, cat: &Catalog, m: &mut Walk, report: &mut Report) {
     let engine = SharedEngine::from_session(fresh_session(cat));
     let mut console = console_over(engine.session(), &inp.console_setup, report);
-    let mut local = Samples::new();
-    for line in inp.console_reads.iter().cycle().take(SERVER_READS) {
-        let t0 = Instant::now();
-        let ok = matches!(console.run_line(line), ConsoleReply::Output(_));
-        local.push(us(t0));
-        report.check(ok, || format!("console: {line}"));
-    }
     let server = parinda_server::Server::bind(
         engine,
         "127.0.0.1:0",
@@ -534,27 +528,55 @@ fn server_layer(inp: &Inputs, cat: &Catalog, m: &mut Walk, report: &mut Report) 
             return;
         }
     };
-    let mut wire = Samples::new();
+    let mut local = |line: &str, report: &mut Report| {
+        let t0 = Instant::now();
+        let ok = matches!(console.run_line(line), ConsoleReply::Output(_));
+        let took = us(t0);
+        report.check(ok, || format!("console: {line}"));
+        took
+    };
+    let mut diffs = Samples::new();
     let mut stats = String::new();
     let result = (|| -> std::io::Result<()> {
         let mut c = Client::connect(handle.addr())?;
-        for line in &inp.console_setup {
-            let (ok, _) = c.send(line)?;
-            report.check(ok, || format!("wire: {line}"));
-        }
-        for line in inp.console_reads.iter().cycle().take(SERVER_READS) {
+        let mut wire = |line: &str, report: &mut Report| -> std::io::Result<f64> {
             let t0 = Instant::now();
             let (ok, _) = c.send(line)?;
-            wire.push(us(t0));
+            let took = us(t0);
             report.check(ok, || format!("wire: {line}"));
+            Ok(took)
+        };
+        for line in &inp.console_setup {
+            wire(line, report)?;
+        }
+        // one untimed pass warms both sides' caches
+        for line in &inp.console_reads {
+            local(line, report);
+            wire(line, report)?;
+        }
+        for (i, line) in inp
+            .console_reads
+            .iter()
+            .cycle()
+            .take(SERVER_READS)
+            .enumerate()
+        {
+            let (w, l) = if i % 2 == 0 {
+                let l = local(line, report);
+                (wire(line, report)?, l)
+            } else {
+                let w = wire(line, report)?;
+                (w, local(line, report))
+            };
+            diffs.push(w - l);
         }
         stats = c.send("server stats")?.1;
         Ok(())
     })();
     report.check(result.is_ok(), || format!("server probe: {result:?}"));
     handle.shutdown().ok();
-    m.insert("server.overhead_us", wire.median() - local.median());
-    let sent = (inp.console_setup.len() + SERVER_READS + 1) as u64;
+    m.insert("server.overhead_us", diffs.median());
+    let sent = (inp.console_setup.len() + inp.console_reads.len() + SERVER_READS + 1) as u64;
     let requests = daemon::stat(&stats, "requests").unwrap_or(0);
     gap(
         report,
@@ -690,11 +712,22 @@ fn trace_overhead(args: &Args, inp: &Inputs, report: &mut Report) -> (f64, Trace
         Which::DbaSession => {
             let cat = library::paper_catalog();
             let text = library::sdss_text();
+            overhead(3, |trace| {
+                let mut s = fresh_session(&cat);
+                s.set_trace(trace.clone());
+                let ok = library::ilp_sweep(&s, &text, &mut Samples::new()).is_ok();
+                report.check(ok, || "ILP sweep".into());
+                keep(&trace);
+            })
+        }
+        Which::DbaAutopart => {
+            let cat = library::paper_catalog();
+            let text = library::sdss_text();
             overhead(2, |trace| {
                 let mut s = fresh_session(&cat);
                 s.set_trace(trace.clone());
-                let ok = library::dba_round(&s, &text).is_ok();
-                report.check(ok, || "advice round".into());
+                let ok = library::autopart(&s, &text).is_ok();
+                report.check(ok, || "AutoPart".into());
                 keep(&trace);
             })
         }

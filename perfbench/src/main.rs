@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <text-ingest|dba-session|daemon-ephemeral|daemon-durable> \
+//!     --workload <text-ingest|dba-session|dba-autopart|daemon-ephemeral|daemon-durable> \
 //!     --seed <n> --seconds <n> --trace <0|1>
 //! ```
 //!
@@ -53,29 +53,49 @@ pub const PER_LAYER: &[(&str, &str, &str)] = &[
         "read_ms_p50, text_to_design_s",
     ),
     ("whatif.evaluate_ms", "ms", "read_ms_p50"),
-    ("inum.build_ms", "ms", "text_to_design_s"),
-    ("inum.cost_us", "us", "text_to_design_s"),
-    ("inum.exact_cost_us", "us", "text_to_design_s"),
-    ("inum.cache_hit_ratio", "ratio", "text_to_design_s"),
-    ("inum.shared_plan_hit_ratio", "ratio", "text_to_design_s"),
+    ("inum.build_ms", "ms", "text_to_design_s (dba-session)"),
+    ("inum.cost_us", "us", "text_to_design_s (dba-session)"),
+    ("inum.exact_cost_us", "us", "text_to_design_s (dba-session)"),
+    (
+        "inum.cache_hit_ratio",
+        "ratio",
+        "text_to_design_s (dba-session)",
+    ),
+    (
+        "inum.shared_plan_hit_ratio",
+        "ratio",
+        "text_to_design_s (dba-session)",
+    ),
     (
         "advisor.candidates",
         "count",
-        "text_to_design_s, design_speedup_x",
+        "text_to_design_s (dba-session), design_speedup_x",
     ),
-    ("advisor.ilp_ms", "ms", "text_to_design_s"),
-    ("advisor.matrix_nnz", "count", "text_to_design_s"),
-    ("solver.bnb_nodes", "count", "text_to_design_s"),
-    ("solver.pruned_by_incumbent", "count", "text_to_design_s"),
+    ("advisor.ilp_ms", "ms", "text_to_design_s (dba-session)"),
+    (
+        "advisor.matrix_nnz",
+        "count",
+        "text_to_design_s (dba-session)",
+    ),
+    (
+        "solver.bnb_nodes",
+        "count",
+        "text_to_design_s (dba-session)",
+    ),
+    (
+        "solver.pruned_by_incumbent",
+        "count",
+        "text_to_design_s (dba-session)",
+    ),
     (
         "advisor.autopart_rounds",
         "count",
-        "text_to_design_s (dba-session)",
+        "text_to_design_s (dba-autopart)",
     ),
     (
         "advisor.autopart_round_ms",
         "ms",
-        "text_to_design_s (dba-session)",
+        "text_to_design_s (dba-autopart)",
     ),
     ("stream.feed_us", "us", "text_to_design_s (daemon-*)"),
     ("stream.epoch_ms", "ms", "text_to_design_s (daemon-*)"),
@@ -169,6 +189,7 @@ impl Report {
 pub enum Workload {
     TextIngest,
     DbaSession,
+    DbaAutopart,
     DaemonEphemeral,
     DaemonDurable,
 }
@@ -180,7 +201,7 @@ pub struct Args {
     pub trace: bool,
 }
 
-const USAGE: &str = "usage: parinda-perfbench --workload <text-ingest|dba-session|daemon-ephemeral|daemon-durable> --seed <n> --seconds <n> --trace <0|1>";
+const USAGE: &str = "usage: parinda-perfbench --workload <text-ingest|dba-session|dba-autopart|daemon-ephemeral|daemon-durable> --seed <n> --seconds <n> --trace <0|1>";
 
 fn parse_args() -> Result<Args, String> {
     let mut workload = None;
@@ -195,6 +216,7 @@ fn parse_args() -> Result<Args, String> {
                 workload = Some(match value.as_str() {
                     "text-ingest" => Workload::TextIngest,
                     "dba-session" => Workload::DbaSession,
+                    "dba-autopart" => Workload::DbaAutopart,
                     "daemon-ephemeral" => Workload::DaemonEphemeral,
                     "daemon-durable" => Workload::DaemonDurable,
                     other => return Err(format!("unknown workload `{other}`")),
@@ -314,6 +336,7 @@ fn main() -> ExitCode {
     match (args.workload, args.trace) {
         (Workload::TextIngest, false) => library::text_ingest(&args, &mut report),
         (Workload::DbaSession, false) => library::dba_session(&args, &mut report),
+        (Workload::DbaAutopart, false) => library::dba_autopart(&args, &mut report),
         (Workload::DaemonEphemeral | Workload::DaemonDurable, false) => {
             daemon::run(&args, &data_dir, &mut report)
         }
