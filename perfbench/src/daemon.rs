@@ -15,7 +15,7 @@ use parinda::{Parallelism, SharedEngine};
 use parinda_bench::{drift_scenario, DRIFT_DDL};
 use parinda_server::{Durability, Server, ServerHandle, ServerOptions};
 
-use crate::stats::{ms, us, Samples};
+use crate::stats::{ms, us, Pace, Samples};
 use crate::{Args, Report, Workload, ADVISOR_THREADS};
 
 /// Statements per drift phase (three phases per round).
@@ -26,6 +26,11 @@ pub const EPOCH_EVERY: usize = 500;
 const SETUPS: usize = 15;
 /// Statements per phase in the DBA tenant's workload file.
 const DBA_STATEMENTS_PER_PHASE: usize = 12;
+/// Statements per phase the DBA tenant explains. The median read is an
+/// `explain`, whose cost depends on the statement's template: with the
+/// workload file's twelve a phase, which templates the seed drew moved
+/// the median read by about 10% between seeds.
+const EXPLAINS_PER_PHASE: usize = 64;
 
 /// One connection speaking the framed wire protocol.
 pub struct Client {
@@ -120,6 +125,7 @@ pub struct Traffic {
     pub statements: Vec<String>,
     pub dba_file: PathBuf,
     pub dba_statements: Vec<String>,
+    pub explains: Vec<String>,
 }
 
 pub fn traffic(seed: u64, dir: &Path) -> Traffic {
@@ -127,6 +133,10 @@ pub fn traffic(seed: u64, dir: &Path) -> Traffic {
     let dba_statements: Vec<String> = phases
         .iter()
         .flat_map(|p| p.statements.iter().take(DBA_STATEMENTS_PER_PHASE).cloned())
+        .collect();
+    let explains = phases
+        .iter()
+        .flat_map(|p| p.statements.iter().take(EXPLAINS_PER_PHASE).cloned())
         .collect();
     let dba_file = dir.join("dba-workload.sql");
     let text: String = dba_statements.iter().map(|s| format!("{s};\n")).collect();
@@ -136,6 +146,7 @@ pub fn traffic(seed: u64, dir: &Path) -> Traffic {
         statements,
         dba_file,
         dba_statements,
+        explains,
     }
 }
 
@@ -149,7 +160,7 @@ pub fn dba_lines(t: &Traffic) -> (Vec<String>, Vec<String>) {
     // times over, and a 1:1 mix would put the median in the gap between
     // them, where it jumps with the slightest shift.
     let mut rotation = Vec::new();
-    for (i, s) in t.dba_statements.iter().enumerate() {
+    for (i, s) in t.explains.iter().enumerate() {
         rotation.push(format!("explain {s}"));
         if i % 3 == 2 {
             rotation.push("eval".to_string());
@@ -397,17 +408,20 @@ pub fn run_round(t: &Traffic, dir: Option<&Path>, report: &mut Report) -> io::Re
 
 /// `daemon-ephemeral` / `daemon-durable`: repeat identical rounds (a
 /// fresh daemon each) until the time is up; report medians over rounds.
+/// The pace ticks before each round, with no daemon running, and the
+/// round's timings are corrected by its factor.
 pub fn run(args: &Args, data_dir: &Path, report: &mut Report) {
     let durable = args.workload == Workload::DaemonDurable;
     let t = traffic(args.seed, data_dir);
     let dir = data_dir.join("data");
+    let mut pace = Pace::new();
     let mut setup = Samples::new();
     for i in 0..SETUPS {
         let fresh = durable.then(|| data_dir.join(format!("setup-{i}")));
         let t0 = Instant::now();
         match start(fresh.as_deref()) {
             Ok(h) => {
-                setup.push(t0.elapsed().as_secs_f64());
+                setup.push(pace.correct(t0.elapsed().as_secs_f64()));
                 report.check(h.shutdown().is_ok(), || "daemon shutdown".into());
             }
             Err(e) => report.check(false, || format!("daemon start: {e}")),
@@ -420,6 +434,7 @@ pub fn run(args: &Args, data_dir: &Path, report: &mut Report) {
     // sized up front so the benchmark's own buffers add no run-length
     // dependent reallocation peaks to `peak_rss_mb`
     let mut reads = Samples::with_capacity(1 << 18);
+    let mut reads_raw = Samples::with_capacity(1 << 18);
     let mut feed_p50 = Samples::new();
     let mut feed_p99 = Samples::new();
     let mut round_reads = Samples::new();
@@ -436,6 +451,7 @@ pub fn run(args: &Args, data_dir: &Path, report: &mut Report) {
         || reads.len() < crate::library::MIN_READS
     {
         rounds += 1;
+        pace.tick();
         let r = match run_round(&t, durable.then_some(dir.as_path()), report) {
             Ok(r) => r,
             Err(e) => {
@@ -451,20 +467,26 @@ pub fn run(args: &Args, data_dir: &Path, report: &mut Report) {
             // costs (heap growth, first connections); not recorded
             continue;
         }
-        setup.push(r.setup_s);
-        windows.extend(&r.windows_s);
-        reads.extend(&r.read_ms);
-        feed_p50.push(r.feed_us.median());
-        feed_p99.push(r.feed_us.pct(99.0));
-        round_reads.push(r.read_ms.median());
-        round_windows.push(r.windows_s.median());
-        epochs.extend(&r.epoch_ms);
+        let (windows_s, read_ms, feed_us) = (
+            pace.correct_all(&r.windows_s),
+            pace.correct_all(&r.read_ms),
+            pace.correct_all(&r.feed_us),
+        );
+        setup.push(pace.correct(r.setup_s));
+        windows.extend(&windows_s);
+        reads.extend(&read_ms);
+        reads_raw.extend(&r.read_ms);
+        feed_p50.push(feed_us.median());
+        feed_p99.push(feed_us.pct(99.0));
+        round_reads.push(read_ms.median());
+        round_windows.push(windows_s.median());
+        epochs.extend(&pace.correct_all(&r.epoch_ms));
         if let Some(s) = r.speedup {
             speedup.push(s);
         }
-        rate.push(r.feeds as f64 / r.stream_s);
+        rate.push(r.feeds as f64 / pace.correct(r.stream_s));
         if durable {
-            restart.push(r.restart_s);
+            restart.push(pace.correct(r.restart_s));
             disk.push(r.disk_bytes as f64 / r.feeds.max(1) as f64);
         }
     }
@@ -472,9 +494,11 @@ pub fn run(args: &Args, data_dir: &Path, report: &mut Report) {
         "{rounds} rounds (the first a warm-up) of {} feeds (epoch every {EPOCH_EVERY}) beside a DBA tenant",
         t.statements.len()
     ));
+    report.note(pace.summary());
     report.timing("setup (engine + bind)", "s", &setup);
     report.timing("text_to_design (feeds + re-advising epoch)", "s", &windows);
     report.timing("read (explain / eval)", "ms", &reads);
+    report.timing("read, wall as measured", "ms", &reads_raw);
     report.note(format!(
         "  feed_us: p50 {:.2} us, p99 {:.2} us (medians over rounds of {} feeds)",
         feed_p50.median(),
