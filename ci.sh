@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: warnings-as-errors build, full test suite, the determinism
-# suite under forced parallelism, the no-panic fuzz gate (reproducible
+# CI gate: warnings-as-errors build, full test suite, the frozen
+# benchmark package's build and tests, the determinism suite under forced
+# parallelism, the no-panic fuzz gate (reproducible
 # seed), the failpoint matrix, the parinda-lint static-analysis pass
 # (never-crash / determinism / lock-discipline / failpoint-coverage
 # contracts), its fixture corpus, and a smoke run of the E8 bench.
@@ -15,6 +16,10 @@ RUSTFLAGS="-D warnings" cargo build --workspace
 
 echo "==> tier-1: tests (whole workspace; includes the lint fixture corpus)"
 cargo test -q --workspace
+
+echo "==> frozen benchmark package (perfbench builds and passes against the library API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> determinism suite (PARINDA_THREADS=2)"
 PARINDA_THREADS=2 cargo test -q --test determinism

@@ -9,7 +9,7 @@
 //!    that fits the replication constraint; stop when no improvement.
 
 use parinda_catalog::{Catalog, MetadataProvider, TableId};
-use parinda_optimizer::{bind, plan_query, CostParams, PlannerFlags};
+use parinda_optimizer::{bind, plan_query, BoundQuery, CostParams, PlanError, PlannerFlags};
 use parinda_parallel::{par_map, par_map_indexed, Budget, BudgetReport, Parallelism};
 use parinda_sql::Select;
 use parinda_trace::{Counter, Trace};
@@ -94,50 +94,20 @@ impl std::fmt::Display for AdvisorError {
 
 impl std::error::Error for AdvisorError {}
 
-/// Run AutoPart over a workload with auto-detected parallelism.
-pub fn suggest_partitions(
-    catalog: &Catalog,
-    workload: &[Select],
-    config: AutoPartConfig,
-) -> Result<PartitionSuggestion, AdvisorError> {
-    suggest_partitions_par(catalog, workload, config, Parallelism::auto())
-}
-
-/// Run AutoPart over a workload with an explicit thread-count policy.
+/// Run AutoPart over a workload.
 ///
-/// Each round's candidate designs are evaluated concurrently against a
-/// read-only snapshot of the cost memo; per-design costs are pure, and
-/// both the memo merge and the round-winner selection happen on the
-/// caller's thread in candidate order, so the suggested design is
+/// Each round's candidate designs are evaluated concurrently on `par`
+/// against a read-only snapshot of the cost memo; per-design costs are
+/// pure, and both the memo merge and the round-winner selection happen
+/// on the caller's thread in candidate order, so the suggested design is
 /// identical at any thread count.
-pub fn suggest_partitions_par(
-    catalog: &Catalog,
-    workload: &[Select],
-    config: AutoPartConfig,
-    par: Parallelism,
-) -> Result<PartitionSuggestion, AdvisorError> {
-    suggest_partitions_budgeted(catalog, workload, config, par, &Budget::unlimited())
-}
-
-/// [`suggest_partitions_par`] under a [`Budget`]: the budget is checked
-/// at the top of every improvement round (a round cap counts improvement
-/// rounds), and an interrupted run returns the best design found so far,
-/// flagged `degraded: true`. With an unlimited budget this is exactly
-/// [`suggest_partitions_par`] — bit-identical output.
-pub fn suggest_partitions_budgeted(
-    catalog: &Catalog,
-    workload: &[Select],
-    config: AutoPartConfig,
-    par: Parallelism,
-    budget: &Budget,
-) -> Result<PartitionSuggestion, AdvisorError> {
-    suggest_partitions_traced(catalog, workload, config, par, budget, &Trace::disabled())
-}
-
-/// [`suggest_partitions_budgeted`] with an observability handle: the run
-/// records an `autopart_rounds` span (plus one `autopart_rounds/round`
-/// span per improvement round) and counts candidate designs evaluated.
-/// Tracing never influences the suggested design.
+///
+/// `budget` is checked at the top of every improvement round (a round
+/// cap counts improvement rounds), and an interrupted run returns the
+/// best design found so far, flagged `degraded: true`. The run records
+/// an `autopart_rounds` span (plus one `autopart_rounds/round` span per
+/// improvement round), counts candidate designs evaluated and every
+/// planner call it makes. Tracing never influences the suggested design.
 pub fn suggest_partitions_traced(
     catalog: &Catalog,
     workload: &[Select],
@@ -153,9 +123,9 @@ pub fn suggest_partitions_traced(
     // Baseline costs: every query binds and plans independently.
     let prepared = par_map_indexed(par, workload.len(), |i| {
         let q = bind(&workload[i], catalog).map_err(|e| AdvisorError::Bind(i, e.to_string()))?;
-        let p = plan_query(&q, catalog, &params, &flags)
+        let c = plan_cost(&q, catalog, &params, &flags, trace)
             .map_err(|e| AdvisorError::Plan(i, e.to_string()))?;
-        Ok::<_, AdvisorError>((q, p.cost.total))
+        Ok::<_, AdvisorError>((q, c))
     });
     let mut bound = Vec::with_capacity(workload.len());
     let mut base_costs = Vec::with_capacity(workload.len());
@@ -198,10 +168,11 @@ pub fn suggest_partitions_traced(
 
     // Evaluate the starting (atomic) design.
     let qtables = query_tables(&bound);
-    let mut memo: CostMemo = CostMemo::new();
-    let mut best_total = design_cost(
-        catalog, workload, &selected, &params, &flags, &base_costs, &qtables, &mut memo,
+    let (mut best_total, first_entries) = design_cost(
+        catalog, workload, &selected, &params, &flags, &base_costs, &qtables, &CostMemo::new(),
+        trace,
     );
+    let mut memo: CostMemo = first_entries.into_iter().collect();
     let mut iterations = 0usize;
 
     // Improvement loop. When the current design exceeds the replication
@@ -290,8 +261,8 @@ pub fn suggest_partitions_traced(
         let memo_ref = &memo;
         trace.count(Counter::CandidatesEvaluated, viable.len() as u64);
         let evaluated: Vec<(f64, Vec<MemoEntry>)> = par_map(par, &viable, |cand| {
-            design_cost_snapshot(
-                catalog, workload, cand, &params, &flags, &base_costs, &qtables, memo_ref,
+            design_cost(
+                catalog, workload, cand, &params, &flags, &base_costs, &qtables, memo_ref, trace,
             )
         });
         for (cand, (total, new_entries)) in viable.into_iter().zip(evaluated) {
@@ -330,43 +301,42 @@ pub fn suggest_partitions_traced(
     }
 
     // Full evaluation (with rewrites) only for the final design.
-    let mut best_eval = evaluate_design(catalog, workload, &selected, &params, &flags, &base_costs);
+    let all: Vec<usize> = (0..workload.len()).collect();
+    let (mut design, evaluated) = evaluate_design(
+        catalog, workload, &selected, &params, &flags, &base_costs, &all, trace,
+    );
+    let mut cost_after = 0.0;
+    let mut per_query = Vec::with_capacity(workload.len());
+    let mut rewritten = Vec::with_capacity(workload.len());
+    for ((sel, &before), (after, rw)) in workload.iter().zip(&base_costs).zip(evaluated) {
+        cost_after += after;
+        per_query.push((before, after));
+        rewritten.push(rw.unwrap_or_else(|| sel.clone()));
+    }
 
     // Drop fragments no rewritten query references: they add replication
     // without benefit (the costs are unaffected since no plan uses them).
-    let used: std::collections::BTreeSet<String> = best_eval
-        .rewritten
+    let used: std::collections::BTreeSet<&str> = rewritten
         .iter()
-        .flat_map(|rw| rw.from.iter().map(|t| t.name.clone()))
+        .flat_map(|rw| rw.from.iter().map(|t| t.name.as_str()))
         .collect();
-    best_eval.design.fragments.retain(|nf| used.contains(&nf.name));
+    design.fragments.retain(|nf| used.contains(nf.name.as_str()));
 
     // The final answer keeps only fragments that help (tables whose
     // rewritten queries got cheaper); simple post-filter: drop tables where
     // partitioning brought no gain.
     let degraded = budget_stopped || budget.interrupted();
     Ok(PartitionSuggestion {
-        design: best_eval.design,
+        design,
         cost_before,
-        cost_after: best_eval.total,
-        per_query: base_costs
-            .iter()
-            .zip(&best_eval.per_query)
-            .map(|(&b, &a)| (b, a))
-            .collect(),
-        rewritten: best_eval.rewritten,
+        cost_after,
+        per_query,
+        rewritten,
         iterations,
         degraded,
         budget: degraded
             .then(|| budget.report(iterations, config.max_iterations.saturating_sub(iterations))),
     })
-}
-
-struct Evaluation {
-    total: f64,
-    per_query: Vec<f64>,
-    rewritten: Vec<Select>,
-    design: PartitionDesign,
 }
 
 /// Memo for the selection loop: per-query cost keyed by the fragment sets
@@ -380,7 +350,7 @@ type MemoEntry = ((usize, Vec<Fragment>), f64);
 
 /// Per query: the tables it references and the columns it needs of each
 /// (a query's cost depends only on fragments overlapping those columns).
-fn query_tables(bound: &[parinda_optimizer::BoundQuery]) -> Vec<Vec<(TableId, Vec<usize>)>> {
+fn query_tables(bound: &[BoundQuery]) -> Vec<Vec<(TableId, Vec<usize>)>> {
     bound
         .iter()
         .map(|q| {
@@ -415,8 +385,13 @@ fn relevant_fragments(
     key
 }
 
-/// Search-time cost of a fragment set, with per-query memoization keyed by
-/// the fragment sets of the tables the query touches.
+/// Search-time cost of a fragment set against a read-only memo keyed by
+/// the fragment sets of the tables each query touches: returns the
+/// design's total plus the entries that were missing, so concurrent
+/// candidate evaluations can share one frozen memo and merge their
+/// discoveries afterwards. Entry values are pure functions of their
+/// keys, so the merged table does not depend on which candidate
+/// computed an entry first.
 #[allow(clippy::too_many_arguments)]
 fn design_cost(
     catalog: &Catalog,
@@ -426,29 +401,8 @@ fn design_cost(
     flags: &PlannerFlags,
     base_costs: &[f64],
     qtables: &[Vec<(TableId, Vec<usize>)>],
-    memo: &mut CostMemo,
-) -> f64 {
-    let (total, new_entries) =
-        design_cost_snapshot(catalog, workload, fragments, params, flags, base_costs, qtables, memo);
-    memo.extend(new_entries);
-    total
-}
-
-/// [`design_cost`] against a read-only memo: returns the design's total
-/// plus the entries that were missing, so concurrent candidate evaluations
-/// can share one frozen memo and merge their discoveries afterwards.
-/// Entry values are pure functions of their keys, so the merged table does
-/// not depend on which candidate computed an entry first.
-#[allow(clippy::too_many_arguments)]
-fn design_cost_snapshot(
-    catalog: &Catalog,
-    workload: &[Select],
-    fragments: &[Fragment],
-    params: &CostParams,
-    flags: &PlannerFlags,
-    base_costs: &[f64],
-    qtables: &[Vec<(TableId, Vec<usize>)>],
     memo: &CostMemo,
+    trace: &Trace,
 ) -> (f64, Vec<MemoEntry>) {
     if parinda_failpoint::should_fail("advisor::autopart_eval") {
         // Injected fault: this candidate design looks infinitely bad, so
@@ -468,19 +422,24 @@ fn design_cost_snapshot(
         return (total, Vec::new());
     }
     // Evaluate the pending queries under this design in one overlay pass.
-    let eval = evaluate_design_subset(catalog, workload, fragments, params, flags, base_costs, &pending);
+    let (_, eval) =
+        evaluate_design(catalog, workload, fragments, params, flags, base_costs, &pending, trace);
     let mut new_entries = Vec::with_capacity(pending.len());
-    for (qi, cost) in pending.iter().zip(&eval) {
-        let key = relevant_fragments(fragments, &qtables[*qi]);
-        total += *cost;
-        new_entries.push(((*qi, key), *cost));
+    for (&qi, (cost, _)) in pending.iter().zip(eval) {
+        let key = relevant_fragments(fragments, &qtables[qi]);
+        total += cost;
+        new_entries.push(((qi, key), cost));
     }
     (total, new_entries)
 }
 
-/// Plan only `subset` of the workload under a simulated design; returns
-/// their costs in subset order.
-fn evaluate_design_subset(
+/// Evaluate queries `subset` of the workload under a fragment set:
+/// simulate the partitions, rewrite each query, plan it. Returns the
+/// named design and, in subset order, each query's cost with its
+/// rewritten statement — or its base cost and `None` when the query
+/// cannot be rewritten or the rewrite is not cheaper.
+#[allow(clippy::too_many_arguments)]
+fn evaluate_design(
     catalog: &Catalog,
     workload: &[Select],
     fragments: &[Fragment],
@@ -488,9 +447,10 @@ fn evaluate_design_subset(
     flags: &PlannerFlags,
     base_costs: &[f64],
     subset: &[usize],
-) -> Vec<f64> {
+    trace: &Trace,
+) -> (PartitionDesign, Vec<(f64, Option<Select>)>) {
     let (overlay, design) = simulate_fragments(catalog, fragments);
-    subset
+    let costs = subset
         .iter()
         .map(|&i| {
             let fallback = base_costs[i];
@@ -498,13 +458,27 @@ fn evaluate_design_subset(
                 .ok()
                 .and_then(|rw| {
                     let q = bind(&rw, &overlay).ok()?;
-                    let p = plan_query(&q, &overlay, params, flags).ok()?;
-                    Some(p.cost.total)
+                    let c = plan_cost(&q, &overlay, params, flags, trace).ok()?;
+                    Some((c, Some(rw)))
                 })
-                .filter(|&c| c < fallback)
-                .unwrap_or(fallback)
+                .filter(|&(c, _)| c < fallback)
+                .unwrap_or((fallback, None))
         })
-        .collect()
+        .collect();
+    (design, costs)
+}
+
+/// Plan one bound query and count the optimizer invocation: every plan
+/// AutoPart asks for goes through here.
+fn plan_cost(
+    q: &BoundQuery,
+    meta: &dyn MetadataProvider,
+    params: &CostParams,
+    flags: &PlannerFlags,
+    trace: &Trace,
+) -> Result<f64, PlanError> {
+    trace.count(Counter::OptimizerInvocations, 1);
+    plan_query(q, meta, params, flags).map(|p| p.cost.total)
 }
 
 /// Simulate a fragment set on an overlay, returning the overlay and the
@@ -542,46 +516,4 @@ fn simulate_fragments<'a>(
         design.fragments.push(NamedFragment { name, fragment: f.clone() });
     }
     (overlay, design)
-}
-
-/// Evaluate a fragment set: simulate the partitions, rewrite the workload,
-/// plan everything, sum the costs. Falls back to the original statement
-/// when a query cannot be rewritten or the rewrite is not cheaper.
-fn evaluate_design(
-    catalog: &Catalog,
-    workload: &[Select],
-    fragments: &[Fragment],
-    params: &CostParams,
-    flags: &PlannerFlags,
-    base_costs: &[f64],
-) -> Evaluation {
-    let (overlay, design) = simulate_fragments(catalog, fragments);
-
-    // Rewrite + plan each query.
-    let mut total = 0.0;
-    let mut per_query = Vec::with_capacity(workload.len());
-    let mut rewritten_out = Vec::with_capacity(workload.len());
-    for (i, sel) in workload.iter().enumerate() {
-        let fallback = base_costs[i];
-        let outcome = rewrite_select(sel, &overlay, &design)
-            .ok()
-            .and_then(|rw| {
-                let q = bind(&rw, &overlay).ok()?;
-                let p = plan_query(&q, &overlay, params, flags).ok()?;
-                Some((rw, p.cost.total))
-            });
-        match outcome {
-            Some((rw, cost)) if cost < fallback => {
-                total += cost;
-                per_query.push(cost);
-                rewritten_out.push(rw);
-            }
-            _ => {
-                total += fallback;
-                per_query.push(fallback);
-                rewritten_out.push(sel.clone());
-            }
-        }
-    }
-    Evaluation { total, per_query, rewritten: rewritten_out, design }
 }

@@ -11,60 +11,23 @@ use parinda_solver::{greedy_select_batch, GreedyItem};
 
 use crate::ilp_index::{finish_selection, IndexSelection, SolverConstraints};
 
-/// Select indexes greedily under a storage budget (bytes).
+/// Select indexes greedily under a storage budget (bytes), a run
+/// [`Budget`] and [`SolverConstraints`].
+///
+/// The budget is checked at each selection round (a round cap counts
+/// selection rounds), and an interrupted run returns the indexes picked
+/// so far, flagged `degraded: true`. Pinned indexes seed the current
+/// configuration (and are charged against `budget_bytes` first), banned
+/// ones never enter the candidate pool, so every marginal benefit the
+/// loop prices is *relative to the pins*.
 pub fn select_indexes_greedy(
-    model: &mut InumModel<'_>,
-    candidates: &[CandidateIndex],
-    budget_bytes: u64,
-) -> IndexSelection {
-    select_indexes_greedy_budgeted(model, candidates, budget_bytes, &Budget::unlimited())
-}
-
-/// [`select_indexes_greedy`] under a [`Budget`]: the budget is checked at
-/// each selection round (a round cap counts selection rounds), and an
-/// interrupted run returns the indexes picked so far, flagged
-/// `degraded: true`. With an unlimited budget this is exactly
-/// [`select_indexes_greedy`].
-pub fn select_indexes_greedy_budgeted(
-    model: &mut InumModel<'_>,
-    candidates: &[CandidateIndex],
-    budget_bytes: u64,
-    budget: &Budget,
-) -> IndexSelection {
-    greedy_budgeted_base(model, candidates, budget_bytes, budget, &[])
-}
-
-/// [`select_indexes_greedy_budgeted`] under [`SolverConstraints`]:
-/// pinned indexes seed the current configuration (and are charged
-/// against `budget_bytes` first), banned ones never enter the candidate
-/// pool, so every marginal benefit the loop prices is *relative to the
-/// pins*. With empty constraints this is exactly
-/// [`select_indexes_greedy_budgeted`].
-pub fn select_indexes_greedy_constrained(
     model: &mut InumModel<'_>,
     candidates: &[CandidateIndex],
     budget_bytes: u64,
     budget: &Budget,
     constraints: &SolverConstraints,
 ) -> IndexSelection {
-    let pinned: Vec<CandId> =
-        constraints.pinned.iter().map(|c| model.register_candidate(c.clone())).collect();
-    let pool = constraints.filter_pool(candidates);
-    let pinned_size: u64 = pinned.iter().map(|&id| model.candidate_size(id)).sum();
-    let search_budget = budget_bytes.saturating_sub(pinned_size);
-    greedy_budgeted_base(model, &pool, search_budget, budget, &pinned)
-}
-
-/// The greedy body. `base` is the pinned configuration: the selection
-/// loop starts from it and it is prepended to the picks. Empty `base`
-/// reproduces the historical unconstrained path bit-for-bit.
-fn greedy_budgeted_base(
-    model: &mut InumModel<'_>,
-    candidates: &[CandidateIndex],
-    budget_bytes: u64,
-    budget: &Budget,
-    base: &[CandId],
-) -> IndexSelection {
+    let (base, candidates, budget_bytes) = constraints.prepare(model, candidates, budget_bytes);
     let trace = model.trace().clone();
     let _span = trace.span("greedy_rounds");
     let cand_ids: Vec<CandId> =
@@ -73,8 +36,8 @@ fn greedy_budgeted_base(
     let par = model.parallelism();
     let base_cfg = Configuration::from_ids(base.iter().copied());
     let model_ref = &*model;
-    // Weighted models (compressed workloads) scale everything by the
-    // template weight; ×1.0 on unweighted models is bit-identical.
+    // Everything is scaled by the template weight (×1.0 on a plain
+    // workload is bit-identical).
     let base_costs: Vec<f64> =
         par_map_indexed(par, nq, |q| model_ref.cost(q, &base_cfg) * model_ref.weight(q));
 
@@ -111,7 +74,7 @@ fn greedy_budgeted_base(
         })
     });
 
-    let mut chosen: Vec<CandId> = base.to_vec();
+    let mut chosen: Vec<CandId> = base;
     chosen.extend(picked_pos.iter().map(|&p| cand_ids[p]));
     let degraded = stopped.get();
     let mut selection = finish_selection(model, chosen, &base_costs, !degraded);

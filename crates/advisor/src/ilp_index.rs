@@ -36,10 +36,11 @@ const BENEFIT_EPS: f64 = 1e-9;
 /// User-supplied constraints beyond the storage budget (paper §3.4: "other
 /// user-supplied constraints, such as constraints on the total size of the
 /// design features, and their update costs").
+///
+/// Per-query workload weights come from the model
+/// ([`InumModel::build_weighted_traced`]).
 #[derive(Debug, Clone)]
 pub struct IlpOptions {
-    /// Per-query workload weights (frequencies); `None` = all 1.0.
-    pub weights: Option<Vec<f64>>,
     /// Cap on the total index maintenance cost per unit time.
     pub update_limit: Option<f64>,
     /// Writes per unit time per table, for the update-cost constraint.
@@ -59,7 +60,6 @@ pub struct IlpOptions {
 impl Default for IlpOptions {
     fn default() -> Self {
         IlpOptions {
-            weights: None,
             update_limit: None,
             update_rates: HashMap::new(),
             dense_reference: false,
@@ -84,8 +84,7 @@ pub struct SolverConstraints {
 }
 
 impl SolverConstraints {
-    /// No pins, no bans: the constrained entry points become exactly
-    /// their unconstrained counterparts, bit-identically.
+    /// No pins, no bans.
     pub fn none() -> SolverConstraints {
         SolverConstraints::default()
     }
@@ -103,6 +102,22 @@ impl SolverConstraints {
             .filter(|c| !self.banned.contains(c) && !self.pinned.contains(c))
             .cloned()
             .collect()
+    }
+
+    /// Register the pins with `model` and split the run: the pinned
+    /// base configuration, the search pool, and the storage budget left
+    /// for the search once the pins are charged (pins outrank the
+    /// budget, so the remainder saturates at zero).
+    pub(crate) fn prepare(
+        &self,
+        model: &mut InumModel<'_>,
+        candidates: &[CandidateIndex],
+        budget_bytes: u64,
+    ) -> (Vec<CandId>, Vec<CandidateIndex>, u64) {
+        let pinned: Vec<CandId> =
+            self.pinned.iter().map(|c| model.register_candidate(c.clone())).collect();
+        let pinned_size: u64 = pinned.iter().map(|&id| model.candidate_size(id)).sum();
+        (pinned, self.filter_pool(candidates), budget_bytes.saturating_sub(pinned_size))
     }
 }
 
@@ -159,50 +174,40 @@ impl IndexSelection {
     }
 }
 
-/// Select indexes with the ILP under a storage budget (bytes).
-pub fn select_indexes_ilp(
-    model: &mut InumModel<'_>,
-    candidates: &[CandidateIndex],
-    budget_bytes: u64,
-) -> IndexSelection {
-    select_indexes_ilp_with(model, candidates, budget_bytes, &IlpOptions::default())
-}
-
-/// [`select_indexes_ilp`] with workload weights and an update-cost cap.
+/// Select indexes with the ILP under a storage budget (bytes): no run
+/// budget, no standing constraints.
 pub fn select_indexes_ilp_with(
     model: &mut InumModel<'_>,
     candidates: &[CandidateIndex],
     budget_bytes: u64,
     options: &IlpOptions,
 ) -> IndexSelection {
-    select_indexes_ilp_budgeted(model, candidates, budget_bytes, options, &Budget::unlimited())
+    select_indexes_ilp_constrained(
+        model,
+        candidates,
+        budget_bytes,
+        options,
+        &Budget::unlimited(),
+        &SolverConstraints::none(),
+    )
 }
 
-/// [`select_indexes_ilp_with`] under a [`Budget`]: the benefit matrix is
-/// evaluated candidate-by-candidate until the budget (deadline, round
-/// cap = candidates scored, or cancellation) interrupts; unscored
-/// candidates are treated as zero-benefit (never chosen), and the
-/// branch-and-bound inherits the deadline and cancel token. The result
-/// is always valid; `degraded: true` plus a [`BudgetReport`] mark a run
-/// the budget cut short. With an unlimited budget this is exactly
-/// [`select_indexes_ilp_with`] — bit-identical output.
-pub fn select_indexes_ilp_budgeted(
-    model: &mut InumModel<'_>,
-    candidates: &[CandidateIndex],
-    budget_bytes: u64,
-    options: &IlpOptions,
-    budget: &Budget,
-) -> IndexSelection {
-    ilp_budgeted_base(model, candidates, budget_bytes, options, budget, &[])
-}
-
-/// [`select_indexes_ilp_budgeted`] under [`SolverConstraints`]: pinned
-/// indexes are charged against `budget_bytes` first and prepended to the
-/// chosen set unconditionally (even if they alone exceed the budget —
-/// the DBA's pin outranks the budget), banned ones never enter the
-/// program. Benefits are scored *relative to the pinned base*, so the
-/// solver only pays for what pins don't already cover. With empty
-/// constraints this is exactly [`select_indexes_ilp_budgeted`].
+/// The ILP under a run [`Budget`] and [`SolverConstraints`].
+///
+/// The benefit matrix is evaluated candidate-by-candidate until the
+/// budget (deadline, round cap = candidates scored, or cancellation)
+/// interrupts; unscored candidates are treated as zero-benefit (never
+/// chosen), and the branch-and-bound inherits the deadline and cancel
+/// token. The result is always valid; `degraded: true` plus a
+/// [`BudgetReport`] mark a run the budget cut short.
+///
+/// Pinned indexes are charged against `budget_bytes` first and
+/// prepended to the chosen set unconditionally (even if they alone
+/// exceed the budget — the DBA's pin outranks the budget), banned ones
+/// never enter the program. Benefits are scored *relative to the pinned
+/// base*, so the solver only pays for what pins don't already cover.
+/// Benefits and reported costs are weighted by the model's per-query
+/// weights.
 pub fn select_indexes_ilp_constrained(
     model: &mut InumModel<'_>,
     candidates: &[CandidateIndex],
@@ -211,36 +216,12 @@ pub fn select_indexes_ilp_constrained(
     budget: &Budget,
     constraints: &SolverConstraints,
 ) -> IndexSelection {
-    let pinned: Vec<CandId> =
-        constraints.pinned.iter().map(|c| model.register_candidate(c.clone())).collect();
-    let pool = constraints.filter_pool(candidates);
-    let pinned_size: u64 = pinned.iter().map(|&id| model.candidate_size(id)).sum();
-    let search_budget = budget_bytes.saturating_sub(pinned_size);
-    ilp_budgeted_base(model, &pool, search_budget, options, budget, &pinned)
-}
-
-/// The ILP body. `base` is the pinned configuration: benefits and base
-/// costs are relative to it, and it is prepended to whatever the solver
-/// picks. Empty `base` reproduces the historical unconstrained path
-/// bit-for-bit (`Configuration::from_ids([])` is the empty config).
-fn ilp_budgeted_base(
-    model: &mut InumModel<'_>,
-    candidates: &[CandidateIndex],
-    budget_bytes: u64,
-    options: &IlpOptions,
-    budget: &Budget,
-    base: &[CandId],
-) -> IndexSelection {
+    let (base, candidates, budget_bytes) = constraints.prepare(model, candidates, budget_bytes);
     let trace = model.trace().clone();
     let _span = trace.span("ilp_rounds");
     let cand_ids: Vec<CandId> =
         candidates.iter().map(|c| model.register_candidate(c.clone())).collect();
     let nq = model.queries().len();
-    // Explicit option weights win; a weighted model (compressed workload)
-    // supplies them otherwise; 1.0 on plain models — bit-identical.
-    let weight = |q: usize| -> f64 {
-        options.weights.as_ref().and_then(|w| w.get(q)).copied().unwrap_or_else(|| model.weight(q))
-    };
 
     // Benefits (weighted) and sizes. The (query, candidate) cells are
     // independent cached-model probes, so the matrix fans out over the
@@ -252,7 +233,7 @@ fn ilp_budgeted_base(
     let model_ref: &InumModel<'_> = model;
     let base_cfg = Configuration::from_ids(base.iter().copied());
     let base_costs: Vec<f64> =
-        par_map_indexed(par, nq, |q| model_ref.cost(q, &base_cfg) * weight(q));
+        par_map_indexed(par, nq, |q| model_ref.cost(q, &base_cfg) * model_ref.weight(q));
     let n_cand = cand_ids.len();
     let scored_cap = budget.max_rounds().map_or(n_cand, |r| r.min(n_cand));
     let cells = match par_try_map_budgeted_traced(
@@ -266,7 +247,7 @@ fn ilp_budgeted_base(
                 return 0.0; // injected error: the cell degrades to "no benefit"
             }
             let (ci, q) = (k / nq.max(1), k % nq.max(1));
-            let with = model_ref.cost(q, &base_cfg.with(cand_ids[ci])) * weight(q);
+            let with = model_ref.cost(q, &base_cfg.with(cand_ids[ci])) * model_ref.weight(q);
             (base_costs[q] - with).max(0.0)
         },
     ) {
@@ -447,43 +428,29 @@ fn ilp_budgeted_base(
         IlpOutcome::Limit => (Vec::new(), false),
     };
 
-    let mut chosen: Vec<CandId> = base.to_vec();
+    let mut chosen: Vec<CandId> = base;
     chosen.extend(chosen_pos.iter().map(|&ci| cand_ids[ci]));
     let degraded = candidates_skipped > 0 || budget.interrupted();
-    let mut selection =
-        finish_selection_weighted(model, chosen, &base_costs, proven, &options.weights);
+    let mut selection = finish_selection(model, chosen, &base_costs, proven);
     selection.degraded = degraded;
     selection.budget = degraded.then(|| budget.report(scored, candidates_skipped));
     selection
 }
 
-/// Compute the final (honest) report for a chosen set.
+/// Compute the final (honest) report for a chosen set. `base_costs` are
+/// already weighted; after-costs get the same weights so the report
+/// stays consistent.
 pub(crate) fn finish_selection(
     model: &InumModel<'_>,
     chosen: Vec<CandId>,
     base_costs: &[f64],
     proven_optimal: bool,
 ) -> IndexSelection {
-    finish_selection_weighted(model, chosen, base_costs, proven_optimal, &None)
-}
-
-/// Weighted variant: `base_costs` are already weighted; after-costs get
-/// the same weights so the report stays consistent.
-pub(crate) fn finish_selection_weighted(
-    model: &InumModel<'_>,
-    chosen: Vec<CandId>,
-    base_costs: &[f64],
-    proven_optimal: bool,
-    weights: &Option<Vec<f64>>,
-) -> IndexSelection {
-    let weight = |q: usize| -> f64 {
-        weights.as_ref().and_then(|w| w.get(q)).copied().unwrap_or_else(|| model.weight(q))
-    };
     let cfg = Configuration::from_ids(chosen.iter().copied());
     let per_query: Vec<(f64, f64)> = base_costs
         .iter()
         .enumerate()
-        .map(|(q, &b)| (b, model.cost(q, &cfg) * weight(q)))
+        .map(|(q, &b)| (b, model.cost(q, &cfg) * model.weight(q)))
         .collect();
     let cost_before: f64 = base_costs.iter().sum();
     let cost_after: f64 = per_query.iter().map(|p| p.1).sum();

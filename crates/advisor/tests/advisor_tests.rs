@@ -3,14 +3,57 @@
 
 use parinda_advisor::{
     atomic_fragments, generate_candidates, rewrite_select, select_indexes_greedy,
-    select_indexes_ilp, suggest_partitions, AutoPartConfig, CandidateLimits, Fragment,
-    NamedFragment, PartitionDesign,
+    select_indexes_ilp_with, suggest_partitions_traced, AdvisorError, AutoPartConfig,
+    CandidateLimits, Fragment, IlpOptions, IndexSelection, NamedFragment, PartitionDesign,
+    PartitionSuggestion, SolverConstraints,
 };
 use parinda_catalog::{analyze_column, Catalog, Column, Datum, MetadataProvider, SqlType};
-use parinda_inum::InumModel;
+use parinda_inum::{CandidateIndex, InumModel, InumOptions};
 use parinda_optimizer::{bind, CostParams};
+use parinda_parallel::{Budget, Parallelism};
 use parinda_sql::{parse_select, Select};
+use parinda_trace::Trace;
 use parinda_whatif::{HypotheticalCatalog, WhatIfPartition};
+
+/// The ILP with default options, no run budget, no constraints.
+fn select_ilp(
+    model: &mut InumModel<'_>,
+    cands: &[CandidateIndex],
+    budget_bytes: u64,
+) -> IndexSelection {
+    select_indexes_ilp_with(model, cands, budget_bytes, &IlpOptions::default())
+}
+
+/// Adaptive greedy with no run budget and no constraints.
+fn select_greedy(
+    model: &mut InumModel<'_>,
+    cands: &[CandidateIndex],
+    budget_bytes: u64,
+) -> IndexSelection {
+    select_indexes_greedy(
+        model,
+        cands,
+        budget_bytes,
+        &Budget::unlimited(),
+        &SolverConstraints::none(),
+    )
+}
+
+/// AutoPart with auto-detected parallelism, no budget, no trace.
+fn autopart(
+    c: &Catalog,
+    wl: &[Select],
+    config: AutoPartConfig,
+) -> Result<PartitionSuggestion, AdvisorError> {
+    suggest_partitions_traced(
+        c,
+        wl,
+        config,
+        Parallelism::auto(),
+        &Budget::unlimited(),
+        &Trace::disabled(),
+    )
+}
 
 /// Wide SDSS-flavoured catalog with statistics.
 fn catalog() -> Catalog {
@@ -171,7 +214,7 @@ fn ilp_selection_improves_workload_and_respects_budget() {
     assert!(cands.len() >= 5, "expected a healthy candidate pool, got {}", cands.len());
 
     let budget = 200 * 1024 * 1024; // generous
-    let sel = select_indexes_ilp(&mut model, &cands, budget);
+    let sel = select_ilp(&mut model, &cands, budget);
     assert!(!sel.chosen.is_empty());
     assert!(sel.total_size <= budget);
     assert!(
@@ -194,7 +237,7 @@ fn tight_budget_limits_ilp_choice() {
     let mut model = InumModel::build(&c, &wl, CostParams::default()).unwrap();
     let queries = model.queries().to_vec();
     let cands = generate_candidates(&queries, CandidateLimits::default());
-    let sel = select_indexes_ilp(&mut model, &cands, 8 * 1024 * 1024); // 8 MB
+    let sel = select_ilp(&mut model, &cands, 8 * 1024 * 1024); // 8 MB
     assert!(sel.total_size <= 8 * 1024 * 1024);
 }
 
@@ -205,7 +248,7 @@ fn zero_budget_selects_nothing() {
     let mut model = InumModel::build(&c, &wl, CostParams::default()).unwrap();
     let queries = model.queries().to_vec();
     let cands = generate_candidates(&queries, CandidateLimits::default());
-    let sel = select_indexes_ilp(&mut model, &cands, 0);
+    let sel = select_ilp(&mut model, &cands, 0);
     assert!(sel.chosen.is_empty());
     assert_eq!(sel.cost_before, sel.cost_after);
 }
@@ -220,9 +263,9 @@ fn ilp_at_least_matches_greedy() {
     };
     for budget in [16u64 * 1024 * 1024, 64 * 1024 * 1024, 256 * 1024 * 1024] {
         let mut m1 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-        let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+        let ilp = select_ilp(&mut m1, &cands, budget);
         let mut m2 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-        let greedy = select_indexes_greedy(&mut m2, &cands, budget);
+        let greedy = select_greedy(&mut m2, &cands, budget);
         assert!(
             ilp.cost_after <= greedy.cost_after * 1.02,
             "budget {budget}: ilp {} vs greedy {}",
@@ -250,7 +293,7 @@ fn narrow_workload() -> Vec<Select> {
 #[test]
 fn autopart_improves_narrow_scans() {
     let c = catalog();
-    let sugg = suggest_partitions(&c, &narrow_workload(), AutoPartConfig::default()).unwrap();
+    let sugg = autopart(&c, &narrow_workload(), AutoPartConfig::default()).unwrap();
     assert!(
         sugg.speedup() > 1.3,
         "partitioning should pay off on narrow scans over a wide table: \
@@ -276,7 +319,7 @@ fn autopart_improves_narrow_scans() {
 fn autopart_converges() {
     let c = catalog();
     let cfg = AutoPartConfig { max_iterations: 64, ..Default::default() };
-    let sugg = suggest_partitions(&c, &narrow_workload(), cfg).unwrap();
+    let sugg = autopart(&c, &narrow_workload(), cfg).unwrap();
     assert!(sugg.iterations < 64, "did not converge: {}", sugg.iterations);
 }
 
@@ -286,7 +329,7 @@ fn autopart_respects_replication_limit() {
     // no extra space allowed at all: merging may still happen (merging
     // *reduces* overhead) but the final design must fit
     let cfg = AutoPartConfig { replication_limit_bytes: 0, ..Default::default() };
-    let sugg = suggest_partitions(&c, &narrow_workload(), cfg).unwrap();
+    let sugg = autopart(&c, &narrow_workload(), cfg).unwrap();
     if !sugg.design.is_empty() {
         let frags: Vec<Fragment> =
             sugg.design.fragments.iter().map(|f| f.fragment.clone()).collect();
@@ -306,7 +349,7 @@ fn autopart_noop_on_fully_covered_table() {
     // every query reads every specobj column -> single atomic fragment,
     // nothing to partition
     let wl = vec![parse_select("SELECT * FROM specobj WHERE z > 0.5").unwrap()];
-    let sugg = suggest_partitions(&c, &wl, AutoPartConfig::default()).unwrap();
+    let sugg = autopart(&c, &wl, AutoPartConfig::default()).unwrap();
     assert!(sugg.design.fragments_for(c.table_by_name("specobj").unwrap().id).is_empty());
     assert_eq!(sugg.cost_before, sugg.cost_after);
 }
@@ -340,7 +383,7 @@ fn ilp_beats_classic_greedy_at_tight_budget() {
     // catalog and statistics are deterministic)
     let budget = 1920 * 1024 * 1024;
     let mut m1 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
-    let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+    let ilp = select_ilp(&mut m1, &cands, budget);
     let mut m2 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
     let classic = select_indexes_greedy_static(&mut m2, &cands, budget);
     let gap = (classic.cost_after - ilp.cost_after) / classic.cost_after;
@@ -366,7 +409,7 @@ fn static_greedy_never_beats_ilp() {
     for mb in [300u64, 900, 1500] {
         let budget = mb * 1024 * 1024;
         let mut m1 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
-        let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+        let ilp = select_ilp(&mut m1, &cands, budget);
         let mut m2 = InumModel::build(&cat, &wl, CostParams::default()).unwrap();
         let classic = select_indexes_greedy_static(&mut m2, &cands, budget);
         assert!(
@@ -392,12 +435,12 @@ fn autopart_merges_toward_tight_replication_budget() {
         let _ = &cat;
         cat.all_tables().iter().map(|t| t.pages * 8192).sum::<u64>()
     };
-    let unlimited = suggest_partitions(&cat, &wl, AutoPartConfig::default()).unwrap();
+    let unlimited = autopart(&cat, &wl, AutoPartConfig::default()).unwrap();
     let cfg = AutoPartConfig {
         replication_limit_bytes: (base / 10) as i64,
         ..Default::default()
     };
-    let tight = suggest_partitions(&cat, &wl, cfg).unwrap();
+    let tight = autopart(&cat, &wl, cfg).unwrap();
     let frags: Vec<Fragment> =
         tight.design.fragments.iter().map(|f| f.fragment.clone()).collect();
     assert!(
@@ -419,7 +462,6 @@ fn autopart_merges_toward_tight_replication_budget() {
 
 #[test]
 fn weights_steer_the_selection() {
-    use parinda_advisor::{select_indexes_ilp_with, IlpOptions};
     let c = catalog();
     // two queries wanting different indexes; budget fits only one index
     let wl: Vec<Select> = [
@@ -436,22 +478,25 @@ fn weights_steer_the_selection() {
     let photo = c.table_by_name("photoobj").unwrap().clone();
     let one_index = cands[0].size_bytes(&photo) + cands[0].size_bytes(&photo) / 4;
 
+    let weighted = |weights: &[f64]| {
+        InumModel::build_weighted_traced(
+            &c,
+            &wl,
+            weights,
+            CostParams::default(),
+            InumOptions::default(),
+            Parallelism::auto(),
+            &Budget::unlimited(),
+            Trace::disabled(),
+        )
+        .unwrap()
+    };
     // weight query 0 heavily -> its index (objid) must win
-    let mut m1 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-    let s1 = select_indexes_ilp_with(
-        &mut m1,
-        &cands,
-        one_index,
-        &IlpOptions { weights: Some(vec![100.0, 1.0]), ..Default::default() },
-    );
+    let mut m1 = weighted(&[100.0, 1.0]);
+    let s1 = select_ilp(&mut m1, &cands, one_index);
     // weight query 1 heavily -> the ra index must win
-    let mut m2 = InumModel::build(&c, &wl, CostParams::default()).unwrap();
-    let s2 = select_indexes_ilp_with(
-        &mut m2,
-        &cands,
-        one_index,
-        &IlpOptions { weights: Some(vec![1.0, 100.0]), ..Default::default() },
-    );
+    let mut m2 = weighted(&[1.0, 100.0]);
+    let s2 = select_ilp(&mut m2, &cands, one_index);
     assert!(!s1.chosen.is_empty() && !s2.chosen.is_empty());
     let cols1 = m1.candidate(s1.chosen[0]).columns.clone();
     let cols2 = m2.candidate(s2.chosen[0]).columns.clone();
@@ -461,7 +506,7 @@ fn weights_steer_the_selection() {
 
 #[test]
 fn update_cost_limit_excludes_hot_table_indexes() {
-    use parinda_advisor::{index_update_cost, select_indexes_ilp_with, IlpOptions};
+    use parinda_advisor::index_update_cost;
     use std::collections::HashMap;
     let c = catalog();
     let wl = workload();

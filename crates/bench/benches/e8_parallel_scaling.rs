@@ -5,7 +5,7 @@
 //! a bug, not a speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parinda::{AutoPartConfig, Parallelism, SelectionMethod};
+use parinda::{AutoPartConfig, Budget, Parallelism, SelectionMethod, Trace};
 use parinda_bench::{paper_session, workload};
 use parinda_inum::{InumModel, InumOptions};
 use parinda_optimizer::CostParams;
@@ -41,18 +41,22 @@ fn bench(c: &mut Criterion) {
     }
 
     let session = paper_session();
+    let weights = vec![1.0; wl.len()];
 
     let mut group = c.benchmark_group("e8_inum_build");
     group.sample_size(10);
     for threads in THREADS {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
             b.iter(|| {
-                InumModel::build_par(
+                InumModel::build_weighted_traced(
                     session.catalog(),
                     &wl,
+                    &weights,
                     CostParams::default(),
                     InumOptions::default(),
                     Parallelism::fixed(t),
+                    &Budget::unlimited(),
+                    Trace::disabled(),
                 )
                 .unwrap()
             })

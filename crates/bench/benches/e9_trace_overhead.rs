@@ -20,9 +20,10 @@ fn traced_model(
     trace: Trace,
 ) -> (InumModel<'_>, Vec<Configuration>, usize) {
     let wl = workload();
-    let mut model = InumModel::build_budgeted_traced(
+    let mut model = InumModel::build_weighted_traced(
         session.catalog(),
         &wl,
+        &vec![1.0; wl.len()],
         CostParams::default(),
         InumOptions::default(),
         Parallelism::fixed(1),

@@ -212,8 +212,9 @@ fn e4_ilp_vs_greedy() {
     );
     use parinda_advisor::{
         generate_candidates, select_indexes_greedy, select_indexes_greedy_static,
-        select_indexes_ilp, CandidateLimits,
+        select_indexes_ilp_with, CandidateLimits, IlpOptions, SolverConstraints,
     };
+    use parinda_parallel::Budget;
     let session = paper_session();
     let wl = workload();
     let cands = {
@@ -233,9 +234,15 @@ fn e4_ilp_vs_greedy() {
     for mb in [400u64, 800, 1200, 1800, 2120] {
         let budget = mb * 1024 * 1024;
         let mut m1 = InumModel::build(session.catalog(), &wl, CostParams::default()).unwrap();
-        let ilp = select_indexes_ilp(&mut m1, &cands, budget);
+        let ilp = select_indexes_ilp_with(&mut m1, &cands, budget, &IlpOptions::default());
         let mut m2 = InumModel::build(session.catalog(), &wl, CostParams::default()).unwrap();
-        let ga = select_indexes_greedy(&mut m2, &cands, budget);
+        let ga = select_indexes_greedy(
+            &mut m2,
+            &cands,
+            budget,
+            &Budget::unlimited(),
+            &SolverConstraints::none(),
+        );
         let mut m3 = InumModel::build(session.catalog(), &wl, CostParams::default()).unwrap();
         let gc = select_indexes_greedy_static(&mut m3, &cands, budget);
         let gap = |g: f64| (g - ilp.cost_after) / g * 100.0;
@@ -405,7 +412,7 @@ fn e8_parallel_scaling() {
         "E8  parallel evaluation-engine scaling",
         "(engineering addition: identical designs, lower wall-clock on multicore)",
     );
-    use parinda::Parallelism;
+    use parinda::{Budget, Parallelism, Trace};
     use parinda_inum::InumOptions;
 
     let wl = workload();
@@ -433,12 +440,15 @@ fn e8_parallel_scaling() {
         let t0 = Instant::now();
         let reps = 5;
         for _ in 0..reps {
-            InumModel::build_par(
+            InumModel::build_weighted_traced(
                 session.catalog(),
                 &wl,
+                &vec![1.0; wl.len()],
                 CostParams::default(),
                 InumOptions::default(),
                 par,
+                &Budget::unlimited(),
+                Trace::disabled(),
             )
             .unwrap();
         }
@@ -481,6 +491,7 @@ fn a1_inum_ablation() {
         "A1  ablation: INUM cache richness vs estimate accuracy",
         "(design-choice ablation; no direct paper table)",
     );
+    use parinda::{Budget, Parallelism, Trace};
     use parinda_inum::InumOptions;
     let session = paper_session();
     let wl = workload();
@@ -502,8 +513,17 @@ fn a1_inum_ablation() {
     let mut t = Table::new(&["variant", "build time", "mean err", "worst err"]);
     for (name, opts) in variants {
         let t0 = Instant::now();
-        let mut model =
-            InumModel::build_with(session.catalog(), &wl, CostParams::default(), opts).unwrap();
+        let mut model = InumModel::build_weighted_traced(
+            session.catalog(),
+            &wl,
+            &vec![1.0; wl.len()],
+            CostParams::default(),
+            opts,
+            Parallelism::auto(),
+            &Budget::unlimited(),
+            Trace::disabled(),
+        )
+        .unwrap();
         let build = t0.elapsed();
 
         let cands: Vec<_> = [

@@ -139,9 +139,10 @@ pub fn e3_run() -> E3Run {
     let t0 = Instant::now();
     let mut model = {
         let _s = trace.span("inum_build");
-        InumModel::build_budgeted_traced(
+        InumModel::build_weighted_traced(
             session.catalog(),
             &wl,
+            &vec![1.0; wl.len()],
             CostParams::default(),
             InumOptions::default(),
             Parallelism::fixed(1),

@@ -836,27 +836,20 @@ impl Console {
                 if self.workload.is_empty() {
                     return Err(ParindaError::Advisor("no workload loaded".into()));
                 }
-                // With pins/bans standing, route through the constrained
-                // solver; the unconstrained path is kept bit-identical.
-                let result = if self.constraints.is_empty() {
-                    s.suggest_indexes(&self.workload, budget_mb << 20, method)
-                } else {
-                    let weights = vec![1.0; self.workload.len()];
-                    let pinned: Vec<String> =
-                        self.constraints.pinned().map(str::to_string).collect();
-                    let banned: Vec<String> =
-                        self.constraints.banned().map(str::to_string).collect();
-                    s.suggest_indexes_stream(
-                        &self.workload,
-                        &weights,
-                        None,
-                        budget_mb << 20,
-                        method,
-                        &IlpOptions::default(),
-                        &pinned,
-                        &banned,
-                    )
-                };
+                // Workload-file weights and standing pins/bans both
+                // reach the advisor.
+                let pinned: Vec<String> = self.constraints.pinned().map(str::to_string).collect();
+                let banned: Vec<String> = self.constraints.banned().map(str::to_string).collect();
+                let result = s.suggest_indexes_stream(
+                    &self.workload,
+                    &self.workload_weights,
+                    None,
+                    budget_mb << 20,
+                    method,
+                    &IlpOptions::default(),
+                    &pinned,
+                    &banned,
+                );
                 // the cancel flag is consumed by one advisor run
                 self.cancel.reset();
                 let sugg = result?;

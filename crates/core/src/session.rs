@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parinda_advisor::{
-    generate_candidates, select_indexes_greedy_constrained, select_indexes_ilp_constrained,
+    generate_candidates, select_indexes_greedy, select_indexes_ilp_constrained,
     suggest_partitions_traced, AutoPartConfig, CandidateLimits, IlpOptions, PartitionDesign,
     SolverConstraints,
 };
@@ -797,9 +797,8 @@ impl Parinda {
     }
 
     /// [`Parinda::suggest_indexes`] with the paper's additional DBA
-    /// constraints: per-query workload weights and an update-cost cap
-    /// (only the ILP honors the extra options; the greedy baseline uses
-    /// the plain budget).
+    /// constraints, such as an update-cost cap (only the ILP honors the
+    /// extra options; the greedy baseline uses the plain budget).
     pub fn suggest_indexes_with(
         &self,
         workload: &[Select],
@@ -807,24 +806,17 @@ impl Parinda {
         method: SelectionMethod,
         options: &IlpOptions,
     ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_inner(workload, None, budget_bytes, method, options)
-    }
-
-    /// [`Parinda::suggest_indexes_with`] over weighted statements: each
-    /// query carries a multiplicity (template weights from workload
-    /// compression). The INUM model is built weighted — budgeted cache
-    /// population covers the heaviest templates first — and every
-    /// reported cost is the weighted sum. With all weights 1.0 this is
-    /// exactly [`Parinda::suggest_indexes_with`].
-    pub fn suggest_indexes_weighted(
-        &self,
-        workload: &[Select],
-        weights: &[f64],
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_inner(workload, Some(weights), budget_bytes, method, options)
+        let weights = vec![1.0; workload.len()];
+        self.suggest_indexes_stream(
+            workload,
+            &weights,
+            None,
+            budget_bytes,
+            method,
+            options,
+            &[],
+            &[],
+        )
     }
 
     /// The 100k-statement path (scenario 3 at scale): cluster the raw
@@ -842,56 +834,17 @@ impl Parinda {
         options: &IlpOptions,
     ) -> Result<(IndexSuggestion, parinda_workload::CompressedWorkload), ParindaError> {
         let compressed = parinda_workload::compress_workload_traced(workload, &self.state.trace);
-        let queries = compressed.queries();
-        let weights = compressed.weights();
-        let suggestion =
-            self.suggest_indexes_inner(&queries, Some(&weights), budget_bytes, method, options)?;
-        Ok((suggestion, compressed))
-    }
-
-    fn suggest_indexes_inner(
-        &self,
-        workload: &[Select],
-        weights: Option<&[f64]>,
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_core(workload, weights, None, budget_bytes, method, options, &[], &[])
-    }
-
-    /// The streaming advisor entry point (continuous tuning): advise over
-    /// the epoch's templates `workload`/`weights`, incrementally
-    /// maintaining the INUM model from the `previous` epoch's templates
-    /// via [`InumModel::apply_delta`] when given — only new-or-vanished
-    /// templates are re-bound/re-populated; everything carried over is
-    /// bit-identical to a from-scratch weighted build. `pinned` /
-    /// `banned` are index names (the `idx_<table>_<cols>` display form, a
-    /// real catalog index name, or an explicit `table(col, col)` spec):
-    /// pins are forced into the design budget-first, bans never enter the
-    /// solver's search space.
-    #[allow(clippy::too_many_arguments)]
-    pub fn suggest_indexes_stream(
-        &self,
-        workload: &[Select],
-        weights: &[f64],
-        previous: Option<(&[Select], &[f64])>,
-        budget_bytes: u64,
-        method: SelectionMethod,
-        options: &IlpOptions,
-        pinned: &[String],
-        banned: &[String],
-    ) -> Result<IndexSuggestion, ParindaError> {
-        self.suggest_indexes_core(
-            workload,
-            Some(weights),
-            previous,
+        let suggestion = self.suggest_indexes_stream(
+            &compressed.queries(),
+            &compressed.weights(),
+            None,
             budget_bytes,
             method,
             options,
-            pinned,
-            banned,
-        )
+            &[],
+            &[],
+        )?;
+        Ok((suggestion, compressed))
     }
 
     /// Resolve a DBA-supplied index name into a [`CandidateIndex`]:
@@ -944,11 +897,27 @@ impl Parinda {
         )))
     }
 
+    /// The index advisor: advise over `workload` with one weight per
+    /// statement (statement multiplicities, such as template weights
+    /// from workload compression; 1.0 for a plain workload). The INUM
+    /// model is built weighted — budgeted cache population covers the
+    /// heaviest templates first — and every reported cost is the
+    /// weighted sum.
+    ///
+    /// With `previous` (continuous tuning), the INUM model is maintained
+    /// incrementally from the previous epoch's templates via
+    /// [`InumModel::apply_delta`]: only new-or-vanished templates are
+    /// re-bound/re-populated; everything carried over is bit-identical
+    /// to a from-scratch weighted build. `pinned` / `banned` are index
+    /// names (the `idx_<table>_<cols>` display form, a real catalog index
+    /// name, or an explicit `table(col, col)` spec): pins are forced into
+    /// the design budget-first, bans never enter the solver's search
+    /// space.
     #[allow(clippy::too_many_arguments)]
-    fn suggest_indexes_core(
+    pub fn suggest_indexes_stream(
         &self,
         workload: &[Select],
-        weights: Option<&[f64]>,
+        weights: &[f64],
         previous: Option<(&[Select], &[f64])>,
         budget_bytes: u64,
         method: SelectionMethod,
@@ -967,7 +936,7 @@ impl Parinda {
                     InumModel::build_shared_traced(
                         &self.core.catalog,
                         prev_workload,
-                        Some(prev_weights),
+                        prev_weights,
                         self.core.params.clone(),
                         InumOptions::default(),
                         self.state.par,
@@ -976,9 +945,7 @@ impl Parinda {
                         &self.core.plan_cache,
                     )?
                 };
-                let weights_vec: Vec<f64> =
-                    weights.map(|w| w.to_vec()).unwrap_or_else(|| vec![1.0; workload.len()]);
-                model.apply_delta(workload, &weights_vec)?;
+                model.apply_delta(workload, weights)?;
                 model
             }
             _ => {
@@ -1030,7 +997,7 @@ impl Parinda {
                 &budget,
                 &constraints,
             ),
-            SelectionMethod::Greedy => select_indexes_greedy_constrained(
+            SelectionMethod::Greedy => select_indexes_greedy(
                 &mut model,
                 &cands,
                 budget_bytes,
@@ -1039,7 +1006,6 @@ impl Parinda {
             ),
         };
 
-        let cfg = Configuration::from_ids(sel.chosen.iter().copied());
         let mut indexes = Vec::new();
         for &id in &sel.chosen {
             let c = model.candidate(id);
@@ -1085,7 +1051,6 @@ impl Parinda {
                 }
             })
             .collect();
-        let _ = cfg;
 
         let degraded = sel.degraded || inum_skipped > 0;
         if degraded {

@@ -77,39 +77,78 @@ fn drop_simulation_through_evaluate_design() {
 
 #[test]
 fn weighted_suggestion_through_session() {
-    use parinda_workload::{sdss_catalog, synthesize_stats, SdssScale};
+    use parinda_workload::{sdss_catalog, synthesize_stats, SdssScale, Workload, WorkloadEntry};
     let (mut cat, tables) = sdss_catalog(SdssScale::paper());
     synthesize_stats(&mut cat, &tables);
     let session = Parinda::new(cat);
-    let wl = vec![
+    let wl = [
         parinda::parse_select("SELECT ra FROM photoobj WHERE objid = 42").unwrap(),
         parinda::parse_select(
             "SELECT objid FROM photoobj WHERE modelmag_r BETWEEN 17.0 AND 17.2",
         )
         .unwrap(),
     ];
+    let weighted = |weights: [f64; 2]| Workload {
+        entries: wl
+            .iter()
+            .zip(weights)
+            .map(|(q, weight)| WorkloadEntry { query: q.clone(), weight })
+            .collect(),
+    };
     // budget fits one photoobj index; flip the weights, the winner flips
     let budget = 360 * 1024 * 1024;
-    let s1 = session
-        .suggest_indexes_with(
-            &wl,
-            budget,
-            SelectionMethod::Ilp,
-            &IlpOptions { weights: Some(vec![1000.0, 1.0]), ..Default::default() },
-        )
-        .unwrap();
-    let s2 = session
-        .suggest_indexes_with(
-            &wl,
-            budget,
-            SelectionMethod::Ilp,
-            &IlpOptions { weights: Some(vec![1.0, 1000.0]), ..Default::default() },
-        )
-        .unwrap();
+    let advise = |w: Workload| {
+        session
+            .suggest_indexes_compressed(&w, budget, SelectionMethod::Ilp, &IlpOptions::default())
+            .unwrap()
+            .0
+    };
+    let s1 = advise(weighted([1000.0, 1.0]));
+    let s2 = advise(weighted([1.0, 1000.0]));
     assert_eq!(s1.indexes.len(), 1, "{:?}", s1.indexes);
     assert_eq!(s2.indexes.len(), 1, "{:?}", s2.indexes);
     assert_ne!(s1.indexes[0].columns, s2.indexes[0].columns);
     assert_eq!(s1.indexes[0].columns, vec!["objid"]);
+}
+
+/// `-- weight:` annotations in a workload file reach `suggest indexes`:
+/// the same two statements as `weighted_suggestion_through_session`,
+/// with the same flipped weights, give the same flipped winners through
+/// the console.
+#[test]
+fn console_suggest_indexes_honours_workload_file_weights() {
+    use parinda::{Console, ConsoleReply};
+    let suggest = |lookup_weight: u32, range_weight: u32| -> Vec<String> {
+        let path = std::env::temp_dir().join(format!(
+            "parinda_api_weights_{}_{lookup_weight}_{range_weight}.sql",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            format!(
+                "-- weight: {lookup_weight}\nSELECT ra FROM photoobj WHERE objid = 42;\n\
+                 -- weight: {range_weight}\n\
+                 SELECT objid FROM photoobj WHERE modelmag_r BETWEEN 17.0 AND 17.2;\n"
+            ),
+        )
+        .unwrap();
+        let mut console = Console::new();
+        let mut run = |line: &str| match console.run_line(line) {
+            ConsoleReply::Output(out) => out,
+            other => panic!("`{line}`: {other:?}"),
+        };
+        run("load paper");
+        run(&format!("workload file {}", path.display()));
+        let out = run("suggest indexes 360 ilp");
+        std::fs::remove_file(&path).unwrap();
+        out.lines().filter(|l| l.starts_with("CREATE INDEX")).map(str::to_string).collect()
+    };
+    let lookup_heavy = suggest(1000, 1);
+    let range_heavy = suggest(1, 1000);
+    assert_eq!(lookup_heavy.len(), 1, "{lookup_heavy:?}");
+    assert_eq!(range_heavy.len(), 1, "{range_heavy:?}");
+    assert!(lookup_heavy[0].contains("idx_photoobj_objid ON photoobj (objid)"), "{lookup_heavy:?}");
+    assert!(!range_heavy[0].contains("(objid)"), "{range_heavy:?}");
 }
 
 #[test]

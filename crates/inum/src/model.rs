@@ -26,9 +26,7 @@ use parinda_optimizer::planner::{base_rel_rows, base_scan_paths};
 use parinda_optimizer::{
     bind, plan_query, BoundQuery, CostParams, PlanKind, PlanNode, PlannerFlags,
 };
-use parinda_parallel::{
-    par_try_map_budgeted_traced, par_try_map_indexed_traced, Budget, Parallelism,
-};
+use parinda_parallel::{par_try_map_budgeted_traced, Budget, Parallelism};
 use parinda_sql::Select;
 use parinda_trace::{Counter, Trace};
 use parinda_whatif::{HypotheticalCatalog, JoinScenario};
@@ -108,12 +106,12 @@ pub struct InumModel<'a> {
     /// [`apply_delta`]: InumModel::apply_delta
     sql: Vec<String>,
     /// Per-query workload weights (statement multiplicities from template
-    /// clustering); `None` = every query counts once. Weights scale
+    /// clustering; 1.0 for a plain workload). Weights scale
     /// [`workload_cost`] and steer budgeted cache population toward the
     /// heaviest templates first — they never change a single query's cost.
     ///
     /// [`workload_cost`]: InumModel::workload_cost
-    weights: Option<Vec<f64>>,
+    weights: Vec<f64>,
     /// Cached internal-plan cases per query; `None` when a build budget
     /// expired before this query's cache was populated — [`cost`] then
     /// falls back to a live optimizer call ([`exact_cost`]). Case lists
@@ -172,87 +170,46 @@ pub struct DeltaReport {
 }
 
 impl<'a> InumModel<'a> {
-    /// Build the model: bind every query and populate the internal-plan
-    /// cache (the expensive, once-per-workload step).
+    /// Build the model with unit weights, default options, auto-detected
+    /// parallelism, no budget and no trace: bind every query and populate
+    /// the internal-plan cache (the expensive, once-per-workload step).
     pub fn build(
         catalog: &'a Catalog,
         workload: &[Select],
         params: CostParams,
     ) -> Result<Self, InumError> {
-        Self::build_with(catalog, workload, params, InumOptions::default())
+        Self::build_weighted_traced(
+            catalog,
+            workload,
+            &vec![1.0; workload.len()],
+            params,
+            InumOptions::default(),
+            Parallelism::auto(),
+            &Budget::unlimited(),
+            Trace::disabled(),
+        )
     }
 
-    /// [`InumModel::build`] with explicit cache-richness options (used by
-    /// the ablation experiment).
-    pub fn build_with(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-    ) -> Result<Self, InumError> {
-        Self::build_par(catalog, workload, params, options, Parallelism::auto())
-    }
-
-    /// Fully explicit build: cache-richness options plus the thread-count
-    /// policy for cache population (each query's interesting-order ×
-    /// nestloop plan enumeration is independent, so queries fan out over
-    /// the pool; results are identical at any thread count).
-    pub fn build_par(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-    ) -> Result<Self, InumError> {
-        Self::build_budgeted(catalog, workload, params, options, par, &Budget::unlimited())
-    }
-
-    /// [`InumModel::build_par`] under a [`Budget`]: cache population stops
-    /// at the budget boundary and the queries whose caches were not built
-    /// are marked degraded — [`cost`] serves them with live optimizer
-    /// calls instead of failing. A budget round cap bounds the number of
-    /// query caches populated (deterministic at any thread count); a
-    /// deadline/cancel stops between queries. With an unlimited budget
-    /// this is exactly [`InumModel::build_par`].
+    /// Fully explicit build. Each query carries a statement multiplicity
+    /// (1.0 for a plain workload): [`workload_cost`] is the weighted sum,
+    /// and cache population runs in weight-descending order (stable on
+    /// index, so uniform weights keep input order). `options` set how
+    /// rich the cached plan set is; `par` fans the independent per-query
+    /// plan enumerations out over the pool (identical results at any
+    /// thread count).
     ///
-    /// [`cost`]: InumModel::cost
-    pub fn build_budgeted(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-    ) -> Result<Self, InumError> {
-        Self::build_budgeted_traced(catalog, workload, params, options, par, budget, Trace::disabled())
-    }
-
-    /// [`InumModel::build_budgeted`] with an observability handle: the
-    /// bind and cache-population sweeps record `inum_build/*` spans, and
-    /// the model keeps the handle to count cache hits/misses and
-    /// optimizer invocations for the rest of its life.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_budgeted_traced(
-        catalog: &'a Catalog,
-        workload: &[Select],
-        params: CostParams,
-        options: InumOptions,
-        par: Parallelism,
-        budget: &Budget,
-        trace: Trace,
-    ) -> Result<Self, InumError> {
-        Self::build_inner(catalog, workload, None, params, options, par, budget, trace, None)
-    }
-
-    /// Weighted build for compressed workloads: each query carries a
-    /// statement multiplicity. [`workload_cost`] becomes the weighted sum,
-    /// and when a build [`Budget`] caps cache population, queries are
-    /// populated in weight-descending order (stable on index), so the
-    /// caches that serve the most statements are built first. With all
-    /// weights 1.0 this is exactly [`InumModel::build_budgeted_traced`] —
-    /// bit-identical.
+    /// Under a limited [`Budget`] cache population stops at the budget
+    /// boundary and the queries whose caches were not built are marked
+    /// degraded — [`cost`] serves them with live optimizer calls instead
+    /// of failing. A round cap bounds the number of query caches
+    /// populated (deterministic at any thread count, and landing on the
+    /// heaviest templates first); a deadline/cancel stops between
+    /// queries. The bind and cache-population sweeps record
+    /// `inum_build/*` spans, and the model keeps `trace` to count cache
+    /// hits/misses and optimizer invocations for the rest of its life.
     ///
     /// [`workload_cost`]: InumModel::workload_cost
+    /// [`cost`]: InumModel::cost
     #[allow(clippy::too_many_arguments)]
     pub fn build_weighted_traced(
         catalog: &'a Catalog,
@@ -264,36 +221,23 @@ impl<'a> InumModel<'a> {
         budget: &Budget,
         trace: Trace,
     ) -> Result<Self, InumError> {
-        assert_eq!(weights.len(), workload.len(), "one weight per query");
-        Self::build_inner(
-            catalog,
-            workload,
-            Some(weights.to_vec()),
-            params,
-            options,
-            par,
-            budget,
-            trace,
-            None,
-        )
+        Self::build_inner(catalog, workload, weights, params, options, par, budget, trace, None)
     }
 
-    /// Build against an engine-wide [`SharedPlanCache`]: each query's
-    /// case list is served from the cache when any earlier build over the
-    /// same catalog already populated it, and published on a miss. Hits
-    /// and misses are attributed to `trace` as
-    /// [`Counter::SharedPlanHits`] / [`Counter::SharedPlanMisses`] and to
-    /// the cache's own exact totals. Cached case lists are pure functions
-    /// of (catalog, query SQL, [`InumOptions`]), so a warm cache is
-    /// bit-identical to a cold build — only faster. With `weights` this
-    /// is the shared-cache variant of
-    /// [`InumModel::build_weighted_traced`]; without, of
-    /// [`InumModel::build_budgeted_traced`].
+    /// [`InumModel::build_weighted_traced`] against an engine-wide
+    /// [`SharedPlanCache`]: each query's case list is served from the
+    /// cache when any earlier build over the same catalog already
+    /// populated it, and published on a miss. Hits and misses are
+    /// attributed to `trace` as [`Counter::SharedPlanHits`] /
+    /// [`Counter::SharedPlanMisses`] and to the cache's own exact totals.
+    /// Cached case lists are pure functions of (catalog, query SQL,
+    /// [`InumOptions`]), so a warm cache is bit-identical to a cold build
+    /// — only faster.
     #[allow(clippy::too_many_arguments)]
     pub fn build_shared_traced(
         catalog: &'a Catalog,
         workload: &[Select],
-        weights: Option<&[f64]>,
+        weights: &[f64],
         params: CostParams,
         options: InumOptions,
         par: Parallelism,
@@ -301,13 +245,10 @@ impl<'a> InumModel<'a> {
         trace: Trace,
         cache: &SharedPlanCache,
     ) -> Result<Self, InumError> {
-        if let Some(w) = weights {
-            assert_eq!(w.len(), workload.len(), "one weight per query");
-        }
         Self::build_inner(
             catalog,
             workload,
-            weights.map(|w| w.to_vec()),
+            weights,
             params,
             options,
             par,
@@ -321,7 +262,7 @@ impl<'a> InumModel<'a> {
     fn build_inner(
         catalog: &'a Catalog,
         workload: &[Select],
-        weights: Option<Vec<f64>>,
+        weights: &[f64],
         params: CostParams,
         options: InumOptions,
         par: Parallelism,
@@ -329,15 +270,23 @@ impl<'a> InumModel<'a> {
         trace: Trace,
         shared: Option<&SharedPlanCache>,
     ) -> Result<Self, InumError> {
-        let bound = par_try_map_indexed_traced(par, workload.len(), &trace, "inum_build/bind", |i| {
-            if parinda_failpoint::should_fail("inum::bind") {
-                return Err("failpoint inum::bind: injected error".to_string());
-            }
-            bind(&workload[i], catalog).map_err(|e| e.to_string())
-        })
+        assert_eq!(weights.len(), workload.len(), "one weight per query");
+        let bound = par_try_map_budgeted_traced(
+            par,
+            workload.len(),
+            &Budget::unlimited(),
+            &trace,
+            "inum_build/bind",
+            |i| {
+                if parinda_failpoint::should_fail("inum::bind") {
+                    return Err("failpoint inum::bind: injected error".to_string());
+                }
+                bind(&workload[i], catalog).map_err(|e| e.to_string())
+            },
+        )
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let mut queries = Vec::with_capacity(workload.len());
-        for (i, q) in bound.into_iter().enumerate() {
+        for (i, q) in bound.done.into_iter().enumerate() {
             queries.push(q.map_err(|e| InumError::Bind(i, e))?);
         }
         let sql: Vec<String> = workload.iter().map(|q| q.to_string()).collect();
@@ -348,7 +297,7 @@ impl<'a> InumModel<'a> {
             par,
             queries,
             sql,
-            weights,
+            weights: weights.to_vec(),
             cases: Vec::new(),
             candidates: Vec::new(),
             access_memo: Mutex::new(HashMap::new()),
@@ -358,13 +307,12 @@ impl<'a> InumModel<'a> {
             trace,
         };
         let nq = model.queries.len();
-        // Population order: identity for uniform workloads; weight-
-        // descending (stable on index) when weights are present, so a
-        // budget cap lands on the caches serving the most statements.
+        // Population order: weight-descending, stable on index (identity
+        // for uniform workloads), so a budget cap lands on the caches
+        // serving the most statements.
         let mut order: Vec<usize> = (0..nq).collect();
-        if let Some(w) = &model.weights {
-            order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(a.cmp(&b)));
-        }
+        let w = &model.weights;
+        order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(a.cmp(&b)));
         // A round cap caps how many query caches are populated; the
         // deadline/cancel check rides inside the budgeted sweep.
         let cap = budget.max_rounds().map_or(nq, |r| r.min(nq));
@@ -467,9 +415,10 @@ impl<'a> InumModel<'a> {
         let evicted = self.queries.len() - reused;
         // Bind the genuinely new templates (same sweep + failpoint as a
         // full build, so fault behavior matches).
-        let bound = par_try_map_indexed_traced(
+        let bound = par_try_map_budgeted_traced(
             self.par,
             missing.len(),
+            &Budget::unlimited(),
             &trace,
             "inum_delta/bind",
             |k| {
@@ -481,7 +430,7 @@ impl<'a> InumModel<'a> {
         )
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let mut fresh: Vec<BoundQuery> = Vec::with_capacity(missing.len());
-        for (k, q) in bound.into_iter().enumerate() {
+        for (k, q) in bound.done.into_iter().enumerate() {
             fresh.push(q.map_err(|e| InumError::Bind(missing[k], e))?);
         }
         // Assemble the new query/case vectors (still uncommitted). One
@@ -513,9 +462,10 @@ impl<'a> InumModel<'a> {
         // rebuild would populate them, and the invariant is equality
         // with exactly that).
         let targets: Vec<usize> = (0..nq).filter(|&i| cases[i].is_none()).collect();
-        let built = par_try_map_indexed_traced(
+        let built = par_try_map_budgeted_traced(
             self.par,
             targets.len(),
+            &Budget::unlimited(),
             &trace,
             "inum_delta/populate",
             |k| {
@@ -525,7 +475,7 @@ impl<'a> InumModel<'a> {
         )
         .map_err(|p| InumError::Worker(p.to_string()))?;
         let mut populated: Vec<Arc<Vec<CachedCase>>> = Vec::with_capacity(targets.len());
-        for (k, r) in built.into_iter().enumerate() {
+        for (k, r) in built.done.into_iter().enumerate() {
             populated.push(Arc::new(r.map_err(|e| InumError::Plan(targets[k], e))?));
         }
         for (k, cs) in populated.into_iter().enumerate() {
@@ -561,7 +511,7 @@ impl<'a> InumModel<'a> {
         self.queries = queries;
         self.cases = cases;
         self.sql = new_sql;
-        self.weights = Some(weights.to_vec());
+        self.weights = weights.to_vec();
         let rebuilt = targets.len();
         trace.count(Counter::InumDeltaReused, reused as u64);
         trace.count(Counter::InumDeltaRebuilt, rebuilt as u64);
@@ -591,14 +541,14 @@ impl<'a> InumModel<'a> {
         &self.queries
     }
 
-    /// The per-query weights the model was built with, if any.
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
+    /// The per-query weights the model was built with.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
-    /// Weight of query `qi` (1.0 for an unweighted model).
+    /// Weight of query `qi`.
     pub fn weight(&self, qi: usize) -> f64 {
-        self.weights.as_ref().map_or(1.0, |w| w[qi])
+        self.weights[qi]
     }
 
     /// Cost parameters in use.
@@ -640,8 +590,8 @@ impl<'a> InumModel<'a> {
         self.catalog
     }
 
-    /// The observability handle the model was built with (disabled unless
-    /// [`InumModel::build_budgeted_traced`] attached one). Advisors that
+    /// The observability handle the model was built with (disabled for
+    /// [`InumModel::build`]). Advisors that
     /// work off this model record their spans/counters through it.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -808,8 +758,7 @@ impl<'a> InumModel<'a> {
     }
 
     /// Total workload cost under `config`, weighted by the per-query
-    /// weights when the model was built with them (`cost × 1.0` otherwise,
-    /// which is bit-identical to the plain sum).
+    /// weights (`cost × 1.0` is bit-identical to the plain sum).
     pub fn workload_cost(&self, config: &Configuration) -> f64 {
         (0..self.queries.len()).map(|qi| self.cost(qi, config) * self.weight(qi)).sum()
     }

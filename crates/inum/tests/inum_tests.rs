@@ -3,9 +3,32 @@
 //! optimizer.
 
 use parinda_catalog::{analyze_column, Catalog, Column, Datum, MetadataProvider, SqlType};
-use parinda_inum::{CandidateIndex, Configuration, InumModel};
+use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions};
 use parinda_optimizer::CostParams;
+use parinda_parallel::{Budget, Parallelism};
 use parinda_sql::{parse_select, Select};
+use parinda_trace::Trace;
+
+/// An unweighted, unbudgeted, untraced build with explicit options and
+/// thread count.
+fn build_model<'a>(
+    c: &'a Catalog,
+    wl: &[Select],
+    options: InumOptions,
+    par: Parallelism,
+) -> InumModel<'a> {
+    InumModel::build_weighted_traced(
+        c,
+        wl,
+        &vec![1.0; wl.len()],
+        CostParams::default(),
+        options,
+        par,
+        &Budget::unlimited(),
+        Trace::disabled(),
+    )
+    .unwrap()
+}
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -201,23 +224,15 @@ fn irrelevant_index_changes_nothing() {
 
 #[test]
 fn ablation_single_case_cache_is_worse() {
-    use parinda_inum::InumOptions;
     let c = catalog();
     let wl = workload();
-    let mut full = InumModel::build_with(
+    let mut full = build_model(&c, &wl, InumOptions::default(), Parallelism::auto());
+    let mut single = build_model(
         &c,
         &wl,
-        CostParams::default(),
-        InumOptions::default(),
-    )
-    .unwrap();
-    let mut single = InumModel::build_with(
-        &c,
-        &wl,
-        CostParams::default(),
         InumOptions { max_cases_per_query: 1, join_scenario_pairs: false },
-    )
-    .unwrap();
+        Parallelism::auto(),
+    );
     let photo = c.table_by_name("photoobj").unwrap().id;
     let spec = c.table_by_name("specobj").unwrap().id;
     let f_ids = [
@@ -257,36 +272,26 @@ fn ablation_single_case_cache_is_worse() {
 
 #[test]
 fn options_control_cache_size() {
-    use parinda_inum::InumOptions;
     let c = catalog();
     let wl = workload();
     // fewer cases -> fewer optimizer calls during the build
-    let full = InumModel::build_with(&c, &wl, CostParams::default(), InumOptions::default())
-        .unwrap();
-    let lean = InumModel::build_with(
+    let full = build_model(&c, &wl, InumOptions::default(), Parallelism::auto());
+    let lean = build_model(
         &c,
         &wl,
-        CostParams::default(),
         InumOptions { max_cases_per_query: 1, join_scenario_pairs: false },
-    )
-    .unwrap();
+        Parallelism::auto(),
+    );
     assert!(lean.full_optimizations() < full.full_optimizations());
 }
 
 #[test]
 fn counters_are_exact_under_parallel_builds() {
-    use parinda_inum::InumOptions;
-    use parinda_parallel::{par_map_indexed, Parallelism};
+    use parinda_parallel::par_map_indexed;
     let c = catalog();
     let wl = workload();
-    let seq = InumModel::build_par(
-        &c, &wl, CostParams::default(), InumOptions::default(), Parallelism::fixed(1),
-    )
-    .unwrap();
-    let par = InumModel::build_par(
-        &c, &wl, CostParams::default(), InumOptions::default(), Parallelism::fixed(4),
-    )
-    .unwrap();
+    let seq = build_model(&c, &wl, InumOptions::default(), Parallelism::fixed(1));
+    let par = build_model(&c, &wl, InumOptions::default(), Parallelism::fixed(4));
     // cache population performs the same optimizer calls regardless of the
     // thread count, and no increment may be lost to a race
     assert!(seq.full_optimizations() > 0);

@@ -12,7 +12,7 @@
 //!   token, checked together at iteration boundaries.
 //!
 //! A run that stops early reports how far it got via [`BudgetReport`],
-//! and the budgeted parallel maps return [`Partial`] — always a
+//! and the fallible parallel sweep returns [`Partial`] — always a
 //! **contiguous prefix** of the input, so the *shape* of a degraded
 //! result never depends on thread scheduling.
 
@@ -80,8 +80,7 @@ impl Default for Budget {
 
 impl Budget {
     /// No limits: never interrupted (unless a cancel token is attached
-    /// and fired). Budgeted code paths under an unlimited budget produce
-    /// bit-identical results to their unbudgeted counterparts.
+    /// and fired), so a run under it evaluates everything.
     pub fn unlimited() -> Self {
         Budget {
             started: Instant::now(),

@@ -13,38 +13,36 @@
 //!   (memo merges, reductions, error selection) happen on the caller's
 //!   thread, in input order;
 //! * [`par_map`] / [`par_map_indexed`] return results ordered by input
-//!   index regardless of completion order;
-//! * [`ordered_sum`] reduces strictly in input order, so floating-point
-//!   rounding matches the sequential loop exactly.
+//!   index regardless of completion order, so a caller that reduces them
+//!   in input order rounds exactly like the sequential loop.
 //!
 //! Work distribution is dynamic: workers claim chunks of indexes from a
 //! shared atomic cursor, so skewed item costs (one huge query among
-//! thirty) don't serialize the sweep.
+//! thirty) don't serialize the sweep. One chunk engine runs every map;
+//! an unlimited [`Budget`] is the unbudgeted case.
 //!
 //! ## Panic containment
 //!
 //! PARINDA is an interactive tool: a panic inside one what-if evaluation
 //! must never tear down the DBA's session. Every item runs under
-//! [`std::panic::catch_unwind`], and [`par_try_map`] /
-//! [`par_try_map_indexed`] surface a worker panic to the caller as a
-//! [`WorkerPanic`] **error** instead of unwinding. The error is
-//! deterministic: all items are evaluated regardless of failures, and the
-//! panic at the **lowest input index** is reported, so the same workload
-//! yields the same error at any thread count. [`par_map`] /
-//! [`par_map_indexed`] keep their infallible signatures by re-raising the
-//! (equally deterministic) [`WorkerPanic`] as a panic on the *caller's*
-//! thread, where an interactive frontend's `catch_unwind` backstop can
-//! contain it.
-
+//! [`std::panic::catch_unwind`], and [`par_try_map_budgeted_traced`]
+//! surfaces a worker panic to the caller as a [`WorkerPanic`] **error**
+//! instead of unwinding. The error is deterministic: all items are
+//! evaluated regardless of failures, and the panic at the **lowest input
+//! index** is reported, so the same workload yields the same error at any
+//! thread count. [`par_map`] / [`par_map_indexed`] keep their infallible
+//! signatures by re-raising the (equally deterministic) [`WorkerPanic`]
+//! as a panic on the *caller's* thread, where an interactive frontend's
+//! `catch_unwind` backstop can contain it.
 //!
 //! ## Budgets and cancellation
 //!
-//! Every sweep can be made *anytime*: [`par_try_map_budgeted`] /
-//! [`par_map_budgeted`] take a [`Budget`] (wall-clock deadline on a
-//! monotonic clock, optional round cap, [`CancelToken`]) that workers
-//! poll **between chunk claims**, and return a [`Partial`] covering a
-//! contiguous prefix of the input. Degraded results keep a deterministic
-//! shape: which inputs were evaluated is always `0..done.len()`, never a
+//! Every fallible sweep is *anytime*: [`par_try_map_budgeted_traced`]
+//! takes a [`Budget`] (wall-clock deadline on a monotonic clock,
+//! optional round cap, [`CancelToken`]) that workers poll **between
+//! chunk claims**, and returns a [`Partial`] covering a contiguous prefix
+//! of the input. Degraded results keep a deterministic shape: which
+//! inputs were evaluated is always `0..done.len()`, never a
 //! scheduling-dependent subset.
 
 #![deny(missing_docs)]
@@ -166,39 +164,61 @@ fn run_item<R, F: Fn(usize) -> R>(f: &F, i: usize) -> Result<R, String> {
     .map_err(|p| panic_message(&*p))
 }
 
-/// Map `f` over `0..n` on the pool, returning results in index order, or
-/// the deterministic [`WorkerPanic`] of the lowest-index item that
-/// panicked.
+/// Collect an in-order stream of per-item results into a
+/// contiguous-prefix [`Partial`] of an `n`-item sweep, or the
+/// [`WorkerPanic`] of the lowest-index item that panicked.
+fn collect_prefix<R>(
+    n: usize,
+    prefix: impl Iterator<Item = Result<R, String>>,
+) -> Result<Partial<R>, WorkerPanic> {
+    let mut done = Vec::with_capacity(n);
+    let mut first_panic: Option<WorkerPanic> = None;
+    let mut evaluated = 0usize;
+    for (i, r) in prefix.enumerate() {
+        match r {
+            Ok(r) => done.push(r),
+            Err(message) => {
+                if first_panic.is_none() {
+                    first_panic = Some(WorkerPanic { index: i, message });
+                }
+            }
+        }
+        evaluated = i + 1;
+    }
+    match first_panic {
+        None => Ok(Partial { done, skipped: n - evaluated }),
+        Some(p) => Err(p),
+    }
+}
+
+/// The chunk engine behind every map: evaluate `f` over `0..n` on the
+/// pool under `budget`, returning the results for a **contiguous
+/// prefix** of the input plus a skipped count.
 ///
-/// `f` must be pure (or internally synchronized); it may run on any
-/// worker in any order, but the output vector is always `[f(0), f(1),
-/// …, f(n-1)]`. A panic in `f` never unwinds through this call and never
-/// aborts sibling items: all `n` items are evaluated, then the error for
-/// the lowest panicking index is returned — identical at any thread
-/// count.
-pub fn par_try_map_indexed<R, F>(par: Parallelism, n: usize, f: F) -> Result<Vec<R>, WorkerPanic>
+/// Workers poll `budget.interrupted()` between chunk claims (and the
+/// sequential path polls between items), so a deadline or a
+/// [`CancelToken`] stops the sweep at the next iteration boundary. To
+/// keep the degraded result's shape deterministic, completed items
+/// beyond the longest contiguous prefix are discarded: `done` always
+/// covers exactly inputs `0..done.len()`. A panic never unwinds through
+/// this call and never aborts sibling items; the panic at the lowest
+/// index inside the prefix is reported, and panics beyond the prefix are
+/// discarded with their results. An unlimited budget evaluates every
+/// item, so the outcome is identical at any thread count.
+fn run_chunks<R, F>(
+    par: Parallelism,
+    n: usize,
+    budget: &Budget,
+    f: &F,
+) -> Result<Partial<R>, WorkerPanic>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let threads = par.threads().min(n.max(1));
     if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic: Option<WorkerPanic> = None;
-        for i in 0..n {
-            match run_item(&f, i) {
-                Ok(r) => out.push(r),
-                Err(message) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(WorkerPanic { index: i, message });
-                    }
-                }
-            }
-        }
-        return match first_panic {
-            None => Ok(out),
-            Some(p) => Err(p),
-        };
+        let items = (0..n).map_while(|i| (!budget.interrupted()).then(|| run_item(f, i)));
+        return collect_prefix(n, items);
     }
 
     let chunk = chunk_size(n, threads);
@@ -208,13 +228,13 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let mut out: Vec<(usize, Result<R, String>)> = Vec::new();
-                    loop {
+                    while !budget.interrupted() {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= n {
                             break;
                         }
                         for i in start..(start + chunk).min(n) {
-                            out.push((i, run_item(&f, i)));
+                            out.push((i, run_item(f, i)));
                         }
                     }
                     out
@@ -228,61 +248,32 @@ where
     });
 
     // Reassemble in input order — determinism does not depend on which
-    // worker computed what. The lowest-index panic wins.
+    // worker computed what — and stop at the first gap: everything after
+    // it was computed out of order past an interrupted chunk.
     let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    for part in parts {
-        for (i, r) in part {
-            debug_assert!(slots[i].is_none());
-            slots[i] = Some(r);
-        }
+    for (i, r) in parts.into_iter().flatten() {
+        debug_assert!(slots[i].is_none());
+        slots[i] = Some(r);
     }
-    let mut out = Vec::with_capacity(n);
-    let mut first_panic: Option<WorkerPanic> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every index computed exactly once") {
-            Ok(r) => out.push(r),
-            Err(message) => {
-                if first_panic.is_none() {
-                    first_panic = Some(WorkerPanic { index: i, message });
-                }
-            }
-        }
-    }
-    match first_panic {
-        None => Ok(out),
-        Some(p) => Err(p),
-    }
-}
-
-/// Map `f` over a slice on the pool, preserving input order and catching
-/// worker panics (see [`par_try_map_indexed`]).
-pub fn par_try_map<'a, T, R, F>(
-    par: Parallelism,
-    items: &'a [T],
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    par_try_map_indexed(par, items.len(), |i| f(&items[i]))
+    collect_prefix(n, slots.into_iter().map_while(|slot| slot))
 }
 
 /// Map `f` over `0..n` on the pool, returning results in index order.
 ///
-/// Infallible variant of [`par_try_map_indexed`]: a panic in `f` is
-/// contained at the worker, then re-raised **on the caller's thread** with
-/// the deterministic lowest-index [`WorkerPanic`] message, so a frontend
-/// `catch_unwind` sees the same failure at any thread count and the
-/// scoped pool always shuts down cleanly first.
+/// `f` must be pure (or internally synchronized); it may run on any
+/// worker in any order, but the output vector is always `[f(0), f(1),
+/// …, f(n-1)]`. A panic in `f` is contained at the worker, every item is
+/// still evaluated, and the panic of the **lowest** panicking index is
+/// re-raised as a [`WorkerPanic`] message **on the caller's thread**, so
+/// a frontend `catch_unwind` sees the same failure at any thread count
+/// and the scoped pool always shuts down cleanly first.
 pub fn par_map_indexed<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    match par_try_map_indexed(par, n, f) {
-        Ok(out) => out,
+    match run_chunks(par, n, &Budget::unlimited(), &f) {
+        Ok(partial) => partial.done,
         Err(p) => panic!("{p}"),
     }
 }
@@ -297,154 +288,21 @@ where
     par_map_indexed(par, items.len(), |i| f(&items[i]))
 }
 
-/// Map `f` over `0..n` on the pool under a [`Budget`], returning the
-/// results for a **contiguous prefix** of the input plus a skipped
-/// count.
+/// The fallible sweep: map `f` over `0..n` on the pool under a
+/// [`Budget`] (see [`Partial`] for the contiguous-prefix contract), with
+/// a worker panic surfaced as the deterministic lowest-index
+/// [`WorkerPanic`] **error** instead of an unwind. An unlimited budget
+/// evaluates every item (`skipped == 0`).
 ///
-/// Workers poll `budget.interrupted()` between chunk claims (and the
-/// sequential path polls between items), so a deadline or a
-/// [`CancelToken`] stops the sweep at the next iteration boundary. To
-/// keep the degraded result's shape deterministic, completed items
-/// beyond the longest contiguous prefix are discarded: `done` always
-/// covers exactly inputs `0..done.len()`. A panic at an index inside
-/// that prefix is reported (lowest index wins, as in
-/// [`par_try_map_indexed`]); panics beyond the prefix are discarded with
-/// their results.
-///
-/// Under an unlimited budget this is equivalent to
-/// [`par_try_map_indexed`]: every item is evaluated and `skipped == 0`.
-pub fn par_try_map_budgeted<R, F>(
-    par: Parallelism,
-    n: usize,
-    budget: &Budget,
-    f: F,
-) -> Result<Partial<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = par.threads().min(n.max(1));
-    if threads <= 1 {
-        let mut done = Vec::with_capacity(n);
-        let mut first_panic: Option<WorkerPanic> = None;
-        let mut completed = 0usize;
-        for i in 0..n {
-            if budget.interrupted() {
-                break;
-            }
-            match run_item(&f, i) {
-                Ok(r) => done.push(r),
-                Err(message) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(WorkerPanic { index: i, message });
-                    }
-                }
-            }
-            completed = i + 1;
-        }
-        return match first_panic {
-            None => Ok(Partial { done, skipped: n - completed }),
-            Some(p) => Err(p),
-        };
-    }
-
-    let chunk = chunk_size(n, threads);
-    let cursor = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, Result<R, String>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(usize, Result<R, String>)> = Vec::new();
-                    loop {
-                        if budget.interrupted() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(n) {
-                            out.push((i, run_item(&f, i)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-
-    // Keep the longest contiguous prefix of completed slots; everything
-    // after the first gap was computed out of order past an interrupted
-    // chunk and is discarded so the partial result has a deterministic
-    // shape.
-    let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    for part in parts {
-        for (i, r) in part {
-            debug_assert!(slots[i].is_none());
-            slots[i] = Some(r);
-        }
-    }
-    let mut done = Vec::with_capacity(n);
-    let mut first_panic: Option<WorkerPanic> = None;
-    let mut prefix = 0usize;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            None => break,
-            Some(Ok(r)) => done.push(r),
-            Some(Err(message)) => {
-                if first_panic.is_none() {
-                    first_panic = Some(WorkerPanic { index: i, message });
-                }
-            }
-        }
-        prefix = i + 1;
-    }
-    match first_panic {
-        None => Ok(Partial { done, skipped: n - prefix }),
-        Some(p) => Err(p),
-    }
-}
-
-/// Traced variant of [`par_try_map_indexed`]: one span at `path` covers
-/// the whole sweep, and a surfaced [`WorkerPanic`] bumps the
-/// `worker_panics_recovered` counter.
-///
-/// Span hand-off across workers needs no thread-local state: spans are
-/// identified by stable paths, and the `Trace` handle is `Sync`, so a
-/// worker closure that wants sub-spans simply captures `&Trace` and
-/// records under a child path (`"<path>/…"`) — the sink aggregates the
-/// same totals the sequential run would. Tracing never perturbs results:
-/// the output vector (and any error) is exactly that of
-/// [`par_try_map_indexed`].
-pub fn par_try_map_indexed_traced<R, F>(
-    par: Parallelism,
-    n: usize,
-    trace: &parinda_trace::Trace,
-    path: &'static str,
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let _span = trace.span(path);
-    let out = par_try_map_indexed(par, n, f);
-    if out.is_err() {
-        trace.count(parinda_trace::Counter::WorkerPanicsRecovered, 1);
-    }
-    out
-}
-
-/// Traced variant of [`par_try_map_budgeted`]: one span at `path` covers
-/// the sweep and a surfaced [`WorkerPanic`] bumps
-/// `worker_panics_recovered`. Results are exactly those of
-/// [`par_try_map_budgeted`]; what a skipped item *means* (a query, a
-/// candidate) is context the caller has, so skip counters stay at the
-/// call sites.
+/// One span at `path` covers the sweep, and a surfaced [`WorkerPanic`]
+/// bumps the `worker_panics_recovered` counter. Span hand-off across
+/// workers needs no thread-local state: spans are identified by stable
+/// paths, and the `Trace` handle is `Sync`, so a worker closure that
+/// wants sub-spans simply captures `&Trace` and records under a child
+/// path (`"<path>/…"`) — the sink aggregates the same totals the
+/// sequential run would. Tracing never perturbs results. What a skipped
+/// item *means* (a query, a candidate) is context the caller has, so
+/// skip counters stay at the call sites.
 pub fn par_try_map_budgeted_traced<R, F>(
     par: Parallelism,
     n: usize,
@@ -458,50 +316,43 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let _span = trace.span(path);
-    let out = par_try_map_budgeted(par, n, budget, f);
+    let out = run_chunks(par, n, budget, &f);
     if out.is_err() {
         trace.count(parinda_trace::Counter::WorkerPanicsRecovered, 1);
     }
     out
 }
 
-/// Budgeted variant of [`par_map`]: map `f` over a slice under a
-/// [`Budget`], returning a contiguous-prefix [`Partial`]. A worker panic
-/// inside the prefix is re-raised on the caller's thread (deterministic
-/// lowest-index message), as in [`par_map_indexed`].
-pub fn par_map_budgeted<'a, T, R, F>(
-    par: Parallelism,
-    items: &'a [T],
-    budget: &Budget,
-    f: F,
-) -> Partial<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    match par_try_map_budgeted(par, items.len(), budget, |i| f(&items[i])) {
-        Ok(partial) => partial,
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// Compute `n` `f64` terms in parallel, then reduce **in input order**,
-/// so the floating-point sum is bit-identical to the sequential loop.
-pub fn ordered_sum<F>(par: Parallelism, n: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if par.is_sequential() || n < 2 {
-        return (0..n).map(f).sum();
-    }
-    par_map_indexed(par, n, f).into_iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parinda_trace::Trace;
     use std::sync::atomic::AtomicU64;
+
+    /// The fallible sweep without a trace.
+    fn try_map<R: Send>(
+        threads: usize,
+        n: usize,
+        budget: &Budget,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Result<Partial<R>, WorkerPanic> {
+        par_try_map_budgeted_traced(
+            Parallelism::fixed(threads),
+            n,
+            budget,
+            &Trace::disabled(),
+            "sweep",
+            f,
+        )
+    }
+
+    /// Silence the default panic hook while `body` provokes worker panics.
+    fn quietly(body: impl FnOnce()) {
+        let quiet = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        body();
+        std::panic::set_hook(quiet);
+    }
 
     #[test]
     fn results_in_input_order() {
@@ -537,17 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_sum_is_bit_identical_across_thread_counts() {
-        // Terms chosen so that summation order changes the rounding.
-        let term = |i: usize| ((i as f64) * 1.000_000_1).powf(1.5) + 1e-9 / ((i + 1) as f64);
-        let seq = ordered_sum(Parallelism::sequential(), 10_000, term);
-        for threads in [2, 5, 16] {
-            let par = ordered_sum(Parallelism::fixed(threads), 10_000, term);
-            assert_eq!(seq.to_bits(), par.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn fixed_clamps_to_one() {
         assert_eq!(Parallelism::fixed(0).threads(), 1);
         assert!(Parallelism::fixed(0).is_sequential());
@@ -576,44 +416,32 @@ mod tests {
     /// error is identical at every thread count (lowest index wins).
     #[test]
     fn try_map_contains_panics_deterministically() {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let run = |threads: usize| {
-            par_try_map_indexed(Parallelism::fixed(threads), 200, |i| {
-                if i == 31 || i == 163 {
-                    panic!("boom at {i}");
-                }
-                i * 2
-            })
-        };
-        let expected = Err(WorkerPanic { index: 31, message: "boom at 31".into() });
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(run(threads), expected, "threads={threads}");
-        }
-        std::panic::set_hook(quiet);
+        quietly(|| {
+            let expected = Err(WorkerPanic { index: 31, message: "boom at 31".into() });
+            for threads in [1, 2, 3, 8, 64] {
+                let r = try_map(threads, 200, &Budget::unlimited(), |i| {
+                    if i == 31 || i == 163 {
+                        panic!("boom at {i}");
+                    }
+                    i * 2
+                });
+                assert_eq!(r, expected, "threads={threads}");
+            }
+        });
     }
 
     #[test]
     fn try_map_ok_matches_par_map() {
-        let ok = par_try_map_indexed(Parallelism::fixed(4), 100, |i| i + 1).unwrap();
-        assert_eq!(ok, (1..=100).collect::<Vec<_>>());
-        let slice: Vec<u32> = (0..50).collect();
-        let out = par_try_map(Parallelism::fixed(3), &slice, |&x| x * 3).unwrap();
-        assert_eq!(out, slice.iter().map(|x| x * 3).collect::<Vec<_>>());
+        let ok = try_map(4, 100, &Budget::unlimited(), |i| i + 1).unwrap();
+        assert_eq!(ok.done, par_map_indexed(Parallelism::fixed(4), 100, |i| i + 1));
     }
 
-    /// An unlimited budget makes the budgeted map equivalent to the
-    /// plain one: every item done, none skipped, at any thread count.
+    /// An unlimited budget makes the sweep complete: every item done,
+    /// none skipped, at any thread count.
     #[test]
     fn budgeted_map_unlimited_is_complete() {
         for threads in [1, 2, 8] {
-            let partial = par_try_map_budgeted(
-                Parallelism::fixed(threads),
-                500,
-                &Budget::unlimited(),
-                |i| i * 3,
-            )
-            .unwrap();
+            let partial = try_map(threads, 500, &Budget::unlimited(), |i| i * 3).unwrap();
             assert!(partial.is_complete(), "threads={threads}");
             assert_eq!(partial.done, (0..500).map(|i| i * 3).collect::<Vec<_>>());
         }
@@ -626,13 +454,8 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for threads in [1, 2, 8] {
-            let partial = par_try_map_budgeted(
-                Parallelism::fixed(threads),
-                100,
-                &Budget::unlimited().with_cancel(token.clone()),
-                |i| i,
-            )
-            .unwrap();
+            let budget = Budget::unlimited().with_cancel(token.clone());
+            let partial = try_map(threads, 100, &budget, |i| i).unwrap();
             assert_eq!(partial.done.len(), 0, "threads={threads}");
             assert_eq!(partial.skipped, 100, "threads={threads}");
         }
@@ -646,17 +469,13 @@ mod tests {
         let token = CancelToken::new();
         let tok = token.clone();
         // Cancel after ~40 items have been evaluated (any thread).
-        let partial = par_try_map_budgeted(
-            Parallelism::fixed(4),
-            10_000,
-            &Budget::unlimited().with_cancel(token.clone()),
-            move |i| {
-                if hits.fetch_add(1, Ordering::Relaxed) == 40 {
-                    tok.cancel();
-                }
-                i * 2
-            },
-        )
+        let budget = Budget::unlimited().with_cancel(token.clone());
+        let partial = try_map(4, 10_000, &budget, move |i| {
+            if hits.fetch_add(1, Ordering::Relaxed) == 40 {
+                tok.cancel();
+            }
+            i * 2
+        })
         .unwrap();
         assert!(partial.skipped > 0, "cancellation should have skipped the tail");
         assert_eq!(partial.done.len() + partial.skipped, 10_000);
@@ -664,108 +483,103 @@ mod tests {
     }
 
     /// A panic inside the prefix of a budgeted sweep surfaces as the
-    /// same deterministic WorkerPanic error as the unbudgeted map.
+    /// same deterministic WorkerPanic at any thread count.
     #[test]
     fn budgeted_map_reports_prefix_panic() {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        for threads in [1, 2, 8] {
-            let r = par_try_map_budgeted(
-                Parallelism::fixed(threads),
-                50,
-                &Budget::unlimited(),
-                |i| {
+        quietly(|| {
+            for threads in [1, 2, 8] {
+                let r = try_map(threads, 50, &Budget::unlimited(), |i| {
                     if i == 11 {
                         panic!("boom at {i}");
                     }
                     i
-                },
-            );
-            assert_eq!(
-                r,
-                Err(WorkerPanic { index: 11, message: "boom at 11".into() }),
-                "threads={threads}"
-            );
-        }
-        std::panic::set_hook(quiet);
+                });
+                assert_eq!(
+                    r,
+                    Err(WorkerPanic { index: 11, message: "boom at 11".into() }),
+                    "threads={threads}"
+                );
+            }
+        });
     }
 
-    /// The traced wrappers return exactly what the plain maps return and
-    /// record one span per sweep, at any thread count.
+    /// A recording trace returns exactly what a disabled one does and
+    /// records one span per sweep, at any thread count.
     #[test]
     fn traced_maps_match_untraced_and_record_spans() {
-        let trace = parinda_trace::Trace::recording();
+        let trace = Trace::recording();
         for threads in [1, 2, 8] {
-            let out =
-                par_try_map_indexed_traced(Parallelism::fixed(threads), 100, &trace, "sweep", |i| {
-                    i * 2
-                })
-                .unwrap();
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>(), "threads={threads}");
             let partial = par_try_map_budgeted_traced(
                 Parallelism::fixed(threads),
                 100,
                 &Budget::unlimited(),
                 &trace,
-                "sweep/budgeted",
-                |i| i,
+                "sweep",
+                |i| i * 2,
             )
             .unwrap();
             assert!(partial.is_complete(), "threads={threads}");
+            assert_eq!(partial.done, (0..100).map(|i| i * 2).collect::<Vec<_>>());
         }
-        let r = trace.snapshot();
-        assert_eq!(r.spans["sweep"].count, 3);
-        assert_eq!(r.spans["sweep/budgeted"].count, 3);
+        assert_eq!(trace.snapshot().spans["sweep"].count, 3);
     }
 
     /// A disabled trace changes nothing and records nothing.
     #[test]
     fn traced_maps_with_disabled_trace_are_transparent() {
-        let trace = parinda_trace::Trace::disabled();
-        let out =
-            par_try_map_indexed_traced(Parallelism::fixed(3), 50, &trace, "sweep", |i| i + 1)
-                .unwrap();
-        assert_eq!(out, (1..=50).collect::<Vec<_>>());
+        let trace = Trace::disabled();
+        let out = par_try_map_budgeted_traced(
+            Parallelism::fixed(3),
+            50,
+            &Budget::unlimited(),
+            &trace,
+            "sweep",
+            |i| i + 1,
+        )
+        .unwrap();
+        assert_eq!(out.done, (1..=50).collect::<Vec<_>>());
         assert!(trace.snapshot().spans.is_empty());
     }
 
     /// A contained worker panic bumps the recovery counter while the
-    /// error stays identical to the untraced variant.
+    /// error stays identical to the untraced sweep.
     #[test]
     fn traced_map_counts_recovered_panics() {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let trace = parinda_trace::Trace::recording();
-        let r = par_try_map_indexed_traced(Parallelism::fixed(4), 20, &trace, "sweep", |i| {
-            if i == 5 {
-                panic!("boom at {i}");
-            }
-            i
+        quietly(|| {
+            let trace = Trace::recording();
+            let r = par_try_map_budgeted_traced(
+                Parallelism::fixed(4),
+                20,
+                &Budget::unlimited(),
+                &trace,
+                "sweep",
+                |i| {
+                    if i == 5 {
+                        panic!("boom at {i}");
+                    }
+                    i
+                },
+            );
+            assert_eq!(r, Err(WorkerPanic { index: 5, message: "boom at 5".into() }));
+            assert_eq!(trace.snapshot().counter(parinda_trace::Counter::WorkerPanicsRecovered), 1);
         });
-        assert_eq!(r, Err(WorkerPanic { index: 5, message: "boom at 5".into() }));
-        assert_eq!(
-            trace.snapshot().counter(parinda_trace::Counter::WorkerPanicsRecovered),
-            1
-        );
-        std::panic::set_hook(quiet);
     }
 
     /// Non-string panic payloads are rendered to a fixed placeholder, so
     /// the error stays comparable and `Send`.
     #[test]
     fn non_string_payloads_render_fixed_text() {
-        let quiet = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let r = par_try_map_indexed(Parallelism::fixed(2), 4, |i| {
-            if i == 2 {
-                std::panic::panic_any(42_u64);
-            }
-            i
+        quietly(|| {
+            let r = try_map(2, 4, &Budget::unlimited(), |i| {
+                if i == 2 {
+                    std::panic::panic_any(42_u64);
+                }
+                i
+            });
+            assert_eq!(
+                r,
+                Err(WorkerPanic { index: 2, message: "non-string panic payload".into() })
+            );
         });
-        assert_eq!(
-            r,
-            Err(WorkerPanic { index: 2, message: "non-string panic payload".into() })
-        );
-        std::panic::set_hook(quiet);
     }
 }

@@ -3,7 +3,7 @@
 //! be **bit-identical** for any thread count. Runs on both schemas (SDSS
 //! and retail) so nothing SDSS-specific can mask a race.
 
-use parinda::{AutoPartConfig, Parallelism, Parinda, SelectionMethod};
+use parinda::{AutoPartConfig, Budget, Parallelism, Parinda, SelectionMethod, Trace};
 use parinda_advisor::{generate_candidates, CandidateLimits};
 use parinda_inum::{Configuration, InumModel, InumOptions};
 use parinda_optimizer::CostParams;
@@ -35,14 +35,21 @@ fn assert_bits_eq(a: f64, b: f64, what: &str) {
 fn check_workload_costs(mk: fn() -> Parinda, workload: &[parinda::Select], schema: &str) {
     let session = mk();
     let params = CostParams::default();
-    let baseline = InumModel::build_par(
-        session.catalog(),
-        workload,
-        params.clone(),
-        InumOptions::default(),
-        Parallelism::fixed(1),
-    )
-    .unwrap();
+    let weights = vec![1.0; workload.len()];
+    let build = |threads: usize| {
+        InumModel::build_weighted_traced(
+            session.catalog(),
+            workload,
+            &weights,
+            params.clone(),
+            InumOptions::default(),
+            Parallelism::fixed(threads),
+            &Budget::unlimited(),
+            Trace::disabled(),
+        )
+        .unwrap()
+    };
+    let baseline = build(1);
     let cands = generate_candidates(&baseline.queries().to_vec(), CandidateLimits::default());
 
     let mut base = baseline;
@@ -51,14 +58,7 @@ fn check_workload_costs(mk: fn() -> Parinda, workload: &[parinda::Select], schem
     let full_cost = base.workload_cost(&Configuration::from_ids(ids.iter().copied()));
 
     for threads in THREAD_COUNTS {
-        let mut m = InumModel::build_par(
-            session.catalog(),
-            workload,
-            params.clone(),
-            InumOptions::default(),
-            Parallelism::fixed(threads),
-        )
-        .unwrap();
+        let mut m = build(threads);
         let ids: Vec<_> = cands.iter().map(|c| m.register_candidate(c.clone())).collect();
         assert_bits_eq(
             m.workload_cost(&Configuration::empty()),
@@ -141,20 +141,22 @@ fn check_partition_suggestions(mk: fn() -> Parinda, workload: &[parinda::Select]
 
 /// A panicking parallel worker must not unwind the process, and must
 /// surface as the **same** [`parinda::ParindaError`] at every thread
-/// count: `par_try_map` evaluates all items and reports the
+/// count: the fallible sweep evaluates all items and reports the
 /// lowest-indexed panic regardless of scheduling.
 #[test]
 fn worker_panic_yields_identical_error_at_any_thread_count() {
     let quiet = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    let items: Vec<usize> = (0..64).collect();
     let mut reference: Option<parinda::ParindaError> = None;
     for threads in THREAD_COUNTS {
-        let panicked = parinda_parallel::par_try_map(
+        let panicked = parinda_parallel::par_try_map_budgeted_traced(
             Parallelism::fixed(threads),
-            &items,
-            |&i| {
+            64,
+            &Budget::unlimited(),
+            &Trace::disabled(),
+            "sweep",
+            |i| {
                 if i % 17 == 5 {
                     panic!("injected worker failure at item {i}");
                 }

@@ -12,7 +12,7 @@
 //! 4. Every ILP benefit-matrix entry is non-negative (benefit = cost
 //!    without the index minus cost with it).
 
-use parinda::{Parallelism, Parinda};
+use parinda::{Budget, Parallelism, Parinda, Trace};
 use parinda_advisor::{generate_candidates, CandidateLimits};
 use parinda_catalog::MetadataProvider;
 use parinda_inum::{CandidateIndex, Configuration, InumModel, InumOptions};
@@ -113,6 +113,21 @@ fn hypothetical_index_never_increases_query_cost() {
     }
 }
 
+/// An unweighted, unbudgeted INUM build at `threads` threads.
+fn build_model<'a>(session: &'a Parinda, wl: &[parinda::Select], threads: usize) -> InumModel<'a> {
+    InumModel::build_weighted_traced(
+        session.catalog(),
+        wl,
+        &vec![1.0; wl.len()],
+        CostParams::default(),
+        InumOptions::default(),
+        Parallelism::fixed(threads),
+        &Budget::unlimited(),
+        Trace::disabled(),
+    )
+    .expect("inum")
+}
+
 /// Invariant 2: workload cost is monotone non-increasing in the index
 /// configuration (superset never costs more than subset), at 1 and 4
 /// threads.
@@ -121,14 +136,7 @@ fn superset_configuration_never_costs_more() {
     for (schema, mk, wl) in schemas() {
         for threads in THREAD_COUNTS {
             let session = mk();
-            let mut model = InumModel::build_par(
-                session.catalog(),
-                &wl,
-                CostParams::default(),
-                InumOptions::default(),
-                Parallelism::fixed(threads),
-            )
-            .expect("inum");
+            let mut model = build_model(&session, &wl, threads);
             let pool = candidate_pool(&session, &wl, 6);
             let ids: Vec<_> =
                 pool.iter().map(|(c, _)| model.register_candidate(c.clone())).collect();
@@ -208,14 +216,7 @@ fn ilp_benefit_matrix_entries_non_negative() {
     for (schema, mk, wl) in schemas() {
         for threads in THREAD_COUNTS {
             let session = mk();
-            let mut model = InumModel::build_par(
-                session.catalog(),
-                &wl,
-                CostParams::default(),
-                InumOptions::default(),
-                Parallelism::fixed(threads),
-            )
-            .expect("inum");
+            let mut model = build_model(&session, &wl, threads);
             let pool = candidate_pool(&session, &wl, 10);
             let ids: Vec<_> =
                 pool.iter().map(|(c, _)| model.register_candidate(c.clone())).collect();

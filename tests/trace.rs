@@ -85,7 +85,8 @@ fn span_tree_shape_identical_at_any_thread_count() {
 /// Deterministic counters — everything except the cache hit/miss split,
 /// which can legitimately vary when two threads race to fill the same
 /// memo slot — are identical at any thread count; hits+misses is itself
-/// deterministic.
+/// deterministic. AutoPart's planner calls are among them: its memo is
+/// frozen per round, so the calls it makes do not depend on scheduling.
 #[test]
 fn deterministic_counters_identical_at_any_thread_count() {
     let wl = sdss_workload();
@@ -94,6 +95,7 @@ fn deterministic_counters_identical_at_any_thread_count() {
         let trace = Trace::recording();
         let s = session(threads, trace.clone());
         s.suggest_indexes(&wl, 2_u64 << 30, SelectionMethod::Ilp).expect("ilp");
+        s.suggest_partitions(&wl, AutoPartConfig::default()).expect("autopart");
         let r = trace.snapshot();
         let stable: Vec<(&'static str, u64)> = Counter::ALL
             .iter()
